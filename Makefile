@@ -39,6 +39,10 @@
 #                       then a LOAD_SOAK_DURATION soak that must sustain
 #                       LOAD_SESSIONS_FLOOR sessions/sec; fleet reports are
 #                       written to FLEET_barrier.json / FLEET_soak.json
+#   make benchsmoke   - build and test the heartbench harness (its own
+#                       module, so `go test ./...` never reaches it), then
+#                       run 2 s of the exchange and reproduce workloads and
+#                       fail unless each result says "correct":true
 #   make docs-check   - documentation gate: every relative markdown link in
 #                       the top-level docs must resolve, and the README
 #                       quickstart commands must actually run
@@ -117,7 +121,7 @@ NIGHTLY_FUZZ_TARGETS = \
 COVER_PKGS = heartshield/internal/securelink,heartshield/internal/wire,heartshield/internal/wire/dgram
 COVER_TEST_PKGS = ./internal/securelink ./internal/securelink/sectest ./internal/wire/... ./internal/shieldd ./internal/faultnet
 
-.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
+.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline benchsmoke sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
 
 # The markdown files the docs gate link-checks.
 DOCS_FILES = README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md PAPER.md
@@ -222,6 +226,20 @@ benchbaseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem . ./internal/shieldd ./internal/dsp | tee BENCH_latest.txt
 	$(GO) run ./cmd/benchjson < BENCH_latest.txt > BENCH_baseline.json
 	@echo "re-recorded BENCH_baseline.json — explain the refresh in the PR"
+
+benchsmoke:
+	cd heartbench && $(GO) test ./...
+	@set -e; for w in exchange reproduce; do \
+		echo "--- benchsmoke: $$w workload, 2 s ---"; \
+		if ! out=$$(bash heartbench/run.sh --workload $$w --seconds 2 --trace 0); then \
+			echo "$$out"; echo "benchsmoke: $$w run failed"; exit 1; \
+		fi; \
+		echo "$$out"; \
+		case "$$out" in \
+			*'"correct":true'*) ;; \
+			*) echo "benchsmoke: $$w result is not correct"; exit 1 ;; \
+		esac; \
+	done
 
 sim:
 	$(GO) run ./cmd/shieldsim -run all -quick

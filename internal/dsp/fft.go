@@ -207,7 +207,22 @@ func stageR4Fwd(dst, src []complex128, st *fftStage) {
 		}
 		return
 	}
-	for j := 0; j < m; j++ {
+	// Group j=0 has twiddles exactly 1+0i, and the last stage (m == 1)
+	// is nothing else, so its products are skipped: about a third of
+	// the stage multiplies. Multiplying by 1+0i returns the operand
+	// bit for bit, except that an exact zero may change sign.
+	for q := 0; q < s; q++ {
+		a, b, c, d := src[q], src[s*m+q], src[2*s*m+q], src[3*s*m+q]
+		apc, amc := a+c, a-c
+		bpd := b + d
+		bmd := b - d
+		jb := complex(-imag(bmd), real(bmd))
+		dst[q] = apc + bpd
+		dst[s+q] = amc - jb
+		dst[2*s+q] = apc - bpd
+		dst[3*s+q] = amc + jb
+	}
+	for j := 1; j < m; j++ {
 		w1, w2, w3 := tw[3*j], tw[3*j+1], tw[3*j+2]
 		i0 := s * j
 		i1 := s * (j + m)
@@ -248,7 +263,22 @@ func stageR4Inv(dst, src []complex128, st *fftStage) {
 		}
 		return
 	}
-	for j := 0; j < m; j++ {
+	// Group j=0 has twiddles exactly 1+0i, and the last stage (m == 1)
+	// is nothing else, so its products are skipped: about a third of
+	// the stage multiplies. Multiplying by 1+0i returns the operand
+	// bit for bit, except that an exact zero may change sign.
+	for q := 0; q < s; q++ {
+		a, b, c, d := src[q], src[s*m+q], src[2*s*m+q], src[3*s*m+q]
+		apc, amc := a+c, a-c
+		bpd := b + d
+		bmd := b - d
+		jb := complex(-imag(bmd), real(bmd))
+		dst[q] = apc + bpd
+		dst[s+q] = amc + jb
+		dst[2*s+q] = apc - bpd
+		dst[3*s+q] = amc - jb
+	}
+	for j := 1; j < m; j++ {
 		w1, w2, w3 := tw[3*j], tw[3*j+1], tw[3*j+2]
 		i0 := s * j
 		i1 := s * (j + m)

@@ -33,15 +33,20 @@ type TXChain struct {
 // modified.
 func (t *TXChain) Transmit(iq []complex128) []complex128 {
 	amp := math.Sqrt(dsp.FromDBm(t.PowerDBm))
-	// Clone and scale in one pass — this runs once per burst over
-	// window-length buffers, so the saved sweep is measurable.
+	// Clone, scale and quantize in one pass — this runs once per burst
+	// over window-length buffers, so each saved sweep is measurable.
 	out := make([]complex128, len(iq))
 	camp := complex(amp, 0)
-	for i, v := range iq {
-		out[i] = v * camp
-	}
 	if t.DACBits > 0 {
-		quantize(out, amp*1.25, t.DACBits)
+		q := newQuantizer(amp*1.25, t.DACBits)
+		for i, v := range iq {
+			v *= camp
+			out[i] = complex(q.level(real(v)), q.level(imag(v)))
+		}
+	} else {
+		for i, v := range iq {
+			out[i] = v * camp
+		}
 	}
 	if t.CFOHz != 0 {
 		dsp.Mix(out, t.CFOHz, t.SampleRate, 0)
@@ -59,29 +64,39 @@ func (t *TXChain) TransmitAt(iq []complex128, powerDBm float64) []complex128 {
 	return t.Transmit(iq)
 }
 
-// quantize rounds I and Q to a bits-wide uniform quantizer with full scale
-// fullScale, clipping anything beyond.
-func quantize(x []complex128, fullScale float64, bits int) {
+// quantizer is a bits-wide uniform quantizer with full scale fullScale
+// that clips anything beyond.
+type quantizer struct {
+	fullScale, step, inv float64
+}
+
+func newQuantizer(fullScale float64, bits int) quantizer {
 	levels := float64(int64(1) << uint(bits-1))
 	step := fullScale / levels
 	// Dividing by step costs a hardware divide per component; multiplying
 	// by its reciprocal is ~4x cheaper and lands on the same code except
 	// when the product sits within an ulp of a code boundary — continuous
 	// signals cross that set with probability zero.
-	inv := 1 / step
-	q := func(v float64) float64 {
-		if v > fullScale {
-			v = fullScale
-		} else if v < -fullScale {
-			v = -fullScale
-		}
-		// Floor(x+0.5) is the hardware-intrinsic round-half-up; it differs
-		// from round-half-away only on exact half-codes, which continuous
-		// signals hit with probability zero.
-		return math.Floor(v*inv+0.5) * step
+	return quantizer{fullScale: fullScale, step: step, inv: 1 / step}
+}
+
+// level returns the quantized value of v.
+func (q quantizer) level(v float64) float64 {
+	if v > q.fullScale {
+		v = q.fullScale
+	} else if v < -q.fullScale {
+		v = -q.fullScale
 	}
+	// Floor(x+0.5) is the hardware-intrinsic round-half-up; it differs
+	// from round-half-away only on exact half-codes, which continuous
+	// signals hit with probability zero.
+	return math.Floor(v*q.inv+0.5) * q.step
+}
+
+// quantize rounds I and Q of every sample of x with q.
+func (q quantizer) quantize(x []complex128) {
 	for i, v := range x {
-		x[i] = complex(q(real(v)), q(imag(v)))
+		x[i] = complex(q.level(real(v)), q.level(imag(v)))
 	}
 }
 
@@ -139,43 +154,63 @@ func (r *RXChain) ProcessInPlace(iq []complex128) []complex128 {
 		bwScale = r.SampleRate / r.ChannelBW
 	}
 	noiseVar := dsp.FromDBm(r.NoiseFloorDBm) * bwScale
-	r.RNG.AddComplexNormal(out, noiseVar)
 
 	// Front-end overload: above OverloadDBm the effective
 	// signal-to-noise-and-distortion ratio collapses. Model the
 	// intermodulation/AGC products as additional Gaussian distortion whose
 	// power grows 3 dB per dB of excess drive (2 dB margin loss + 1 dB
-	// input growth), plus hard clipping of the ADC.
+	// input growth), plus hard clipping of the ADC. Its distortion draws
+	// follow every thermal draw, so this branch works on the whole buffer.
+	excess := 0.0
 	if r.OverloadDBm != 0 && inPower > 0 {
-		inDBm := dsp.DBm(inPower)
-		excess := inDBm - r.OverloadDBm
-		if excess > 0 {
-			margin := r.OverloadMarginDB
-			if margin == 0 {
-				margin = DefaultOverloadMarginDB
-			}
-			sndrDB := margin - 2*excess
-			if sndrDB < 1 {
-				sndrDB = 1
-			}
-			distVar := inPower / dsp.FromDB(sndrDB)
-			r.RNG.AddComplexNormal(out, distVar)
-			clip := math.Sqrt(dsp.FromDBm(r.OverloadDBm + 6))
-			for i, v := range out {
-				out[i] = complex(clamp(real(v), clip), clamp(imag(v), clip))
-			}
+		excess = dsp.DBm(inPower) - r.OverloadDBm
+	}
+	if excess > 0 {
+		r.RNG.AddComplexNormal(out, noiseVar)
+		margin := r.OverloadMarginDB
+		if margin == 0 {
+			margin = DefaultOverloadMarginDB
 		}
+		sndrDB := margin - 2*excess
+		if sndrDB < 1 {
+			sndrDB = 1
+		}
+		distVar := inPower / dsp.FromDB(sndrDB)
+		r.RNG.AddComplexNormal(out, distVar)
+		clip := math.Sqrt(dsp.FromDBm(r.OverloadDBm + 6))
+		for i, v := range out {
+			out[i] = complex(clamp(real(v), clip), clamp(imag(v), clip))
+		}
+		if r.ADCBits > 0 {
+			newQuantizer(clip, r.ADCBits).quantize(out)
+		}
+		return out
 	}
 
+	// Below overload, add noise and quantize one cache-resident chunk at
+	// a time; the noise draws stay in sample order, so the stream is the
+	// same as one whole-buffer pass.
+	var q quantizer
 	if r.ADCBits > 0 {
 		fs := math.Sqrt(dsp.FromDBm(r.OverloadDBm + 6))
 		if r.OverloadDBm == 0 {
 			fs = 4 * math.Sqrt(inPower+noiseVar)
 		}
-		quantize(out, fs, r.ADCBits)
+		q = newQuantizer(fs, r.ADCBits)
+	}
+	for off := 0; off < len(out); off += rxChunk {
+		c := out[off:min(off+rxChunk, len(out))]
+		r.RNG.AddComplexNormal(c, noiseVar)
+		if r.ADCBits > 0 {
+			q.quantize(c)
+		}
 	}
 	return out
 }
+
+// rxChunk is the sample count ProcessInPlace noises and quantizes per
+// pass: 4 KB of complex128, resident in L1 between the two.
+const rxChunk = 256
 
 func clamp(v, lim float64) float64 {
 	if v > lim {

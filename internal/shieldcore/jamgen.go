@@ -174,9 +174,7 @@ func (g *JamGenerator) Generate(n int) []complex128 {
 	out := g.scratch[:need]
 	for off := 0; off < need; off += jamFFTSize {
 		block := out[off : off+jamFFTSize]
-		for k := range block {
-			block[k] = g.rng.ComplexNormalAmp(g.binAmp[k])
-		}
+		g.rng.FillComplexNormalAmp(block, g.binAmp)
 		jamFFT.InverseRaw(block)
 	}
 	return out[:n]

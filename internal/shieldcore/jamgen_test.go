@@ -2,6 +2,7 @@ package shieldcore
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"heartshield/internal/dsp"
@@ -108,3 +109,61 @@ func TestJamShapeString(t *testing.T) {
 		t.Fatal("JamShape names")
 	}
 }
+
+func TestGenerateMatchesPerBinDraws(t *testing.T) {
+	// The bulk per-bin fill must draw exactly what one complex normal per
+	// bin, real part first, drew: the stats RNG replays math/rand's
+	// stream, so math/rand is the reference. Compared bitwise, across a
+	// partial last block.
+	for _, shape := range []JamShape{ShapedJam, FlatJam} {
+		g := NewJamGenerator(shape, modem.DefaultFSK, stats.NewRNG(21))
+		ref := rand.New(rand.NewSource(21))
+		for _, n := range []int{1, 256, 700, 4096} {
+			got := g.Generate(n)
+			want := make([]complex128, (n+jamFFTSize-1)/jamFFTSize*jamFFTSize)
+			for off := 0; off < len(want); off += jamFFTSize {
+				block := want[off : off+jamFFTSize]
+				for k := range block {
+					a := g.binAmp[k]
+					block[k] = complex(a*ref.NormFloat64(), a*ref.NormFloat64())
+				}
+				jamFFT.InverseRaw(block)
+			}
+			for i, v := range got {
+				w := want[i]
+				if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+					t.Fatalf("%v n=%d sample %d: %v, want %v", shape, n, i, v, w)
+				}
+			}
+		}
+	}
+}
+
+func TestGenerateDoesNotAllocateWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	g := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(8))
+	g.Generate(12000)
+	if n := testing.AllocsPerRun(20, func() { g.Generate(12000) }); n != 0 {
+		t.Fatalf("warm Generate allocates %v times per call, want 0", n)
+	}
+}
+
+// Generate at the simulator's sizes: one 256-sample block, the 4096-sample
+// cancellation probe and a 12000-sample IMD response window.
+
+func benchGenerate(b *testing.B, n int) {
+	g := NewJamGenerator(ShapedJam, modem.DefaultFSK, stats.NewRNG(1))
+	g.Generate(n)
+	b.SetBytes(int64(16 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Generate(n)
+	}
+}
+
+func BenchmarkJamGenerate256(b *testing.B)   { benchGenerate(b, 256) }
+func BenchmarkJamGenerate4096(b *testing.B)  { benchGenerate(b, 4096) }
+func BenchmarkJamGenerate12000(b *testing.B) { benchGenerate(b, 12000) }

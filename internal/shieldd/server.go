@@ -18,7 +18,7 @@
 // did before — the same determinism contract as the PR 1 parallel
 // experiment runner, extended to a network service.
 //
-// Three protocol versions are served, negotiated in HELLO:
+// Four protocol versions are served, negotiated in HELLO:
 //
 //   - v1 is strict request/response: one request in flight, answered
 //     before the next is read.
@@ -38,6 +38,12 @@
 //     lost datagram delays only itself, not the session), and EXPERIMENT
 //     requests stream incremental EXPERIMENT-PROGRESS frames while they
 //     run. See DESIGN.md "Selective repeat & streaming experiments".
+//   - v4 keeps the v3 envelope and replaces the nonce-only PSK handshake
+//     with a forward-secret X25519+PSK key exchange bound to the handshake
+//     transcript (securelink.Handshake), and mints a single-use resumption
+//     ticket with every session; a reconnecting client redeems it to skip
+//     the key exchange and, from its issuing address, the datagram cookie
+//     round. See DESIGN.md "Handshake v2 (wire v4)".
 package shieldd
 
 import (
