@@ -41,8 +41,9 @@
 #                       written to FLEET_barrier.json / FLEET_soak.json
 #   make benchsmoke   - build and test the heartbench harness (its own
 #                       module, so `go test ./...` never reaches it), then
-#                       run 2 s of the exchange and reproduce workloads and
-#                       fail unless each result says "correct":true
+#                       run 2 s of each of the four workloads (exchange,
+#                       control, churn, reproduce) and fail unless each
+#                       result says "correct":true
 #   make docs-check   - documentation gate: every relative markdown link in
 #                       the top-level docs must resolve, and the README
 #                       quickstart commands must actually run
@@ -229,7 +230,7 @@ benchbaseline:
 
 benchsmoke:
 	cd heartbench && $(GO) test ./...
-	@set -e; for w in exchange reproduce; do \
+	@set -e; for w in exchange control churn reproduce; do \
 		echo "--- benchsmoke: $$w workload, 2 s ---"; \
 		if ! out=$$(bash heartbench/run.sh --workload $$w --seconds 2 --trace 0); then \
 			echo "$$out"; echo "benchsmoke: $$w run failed"; exit 1; \

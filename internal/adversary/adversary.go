@@ -128,7 +128,8 @@ func (a *Active) Replay(ch int, start int64, f *phy.Frame) *channel.Burst {
 	if f == nil {
 		return nil
 	}
-	iq := a.TX.Transmit(a.Modem.ModulateFrame(f))
+	mod := a.Modem.ModulateFrame(f)
+	iq := a.TX.TransmitInto(a.Medium.Buffer(len(mod)), mod, a.TX.PowerDBm)
 	b := &channel.Burst{Channel: ch, Start: start, IQ: iq, From: a.Antenna}
 	a.Medium.AddBurst(b)
 	return b

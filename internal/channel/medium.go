@@ -48,7 +48,9 @@ type linkState struct {
 
 // Burst is one transmission on the medium: baseband IQ (already scaled by
 // the TX chain to sqrt-milliwatt amplitude) starting at an absolute sample
-// index on a given MICS channel.
+// index on a given MICS channel. When the IQ came from Medium.Buffer it is
+// only valid until the medium's next ClearBursts, which recycles it; hold
+// neither the burst's samples nor a slice of them across trials.
 type Burst struct {
 	Channel int
 	Start   int64
@@ -113,6 +115,9 @@ type Medium struct {
 	// replay the install-time gain draws of a fresh build exactly.
 	installed []pair
 	burst     map[int]*burstSet
+	// lent holds the sample buffers Buffer handed out since the last
+	// ClearBursts; free holds the ones ClearBursts took back for reuse.
+	lent, free [][]complex128
 }
 
 // NewMedium creates an empty medium at the given baseband sample rate.
@@ -243,7 +248,8 @@ func (m *Medium) AddBurst(b *Burst) {
 }
 
 // Bursts returns all bursts on a MICS channel, sorted by start sample
-// (shared slice; do not modify).
+// (shared slice; do not modify, and do not keep it across ClearBursts,
+// which reuses it).
 func (m *Medium) Bursts(ch int) []*Burst {
 	s := m.burst[ch]
 	if s == nil {
@@ -252,9 +258,67 @@ func (m *Medium) Bursts(ch int) []*Burst {
 	return s.list
 }
 
-// ClearBursts removes all transmissions (start of a new trial).
+// ClearBursts removes all transmissions (start of a new trial) and takes
+// back every buffer Buffer lent since the last call, for reuse by later
+// bursts. IQ a caller allocated itself is only dropped, never reused.
 func (m *Medium) ClearBursts() {
-	m.burst = make(map[int]*burstSet)
+	for _, s := range m.burst {
+		clear(s.list)
+		s.list, s.maxEnd = s.list[:0], s.maxEnd[:0]
+	}
+	m.free = append(m.free, m.lent...)
+	clear(m.lent)
+	m.lent = m.lent[:0]
+}
+
+// ReleaseBuffers is ClearBursts that keeps nothing for reuse: the
+// medium's sample buffers, lent or free, become garbage. A scenario that
+// may now sit idle indefinitely calls it so the idle medium holds no
+// trial-sized memory.
+func (m *Medium) ReleaseBuffers() {
+	m.ClearBursts()
+	clear(m.free)
+	m.free = nil
+}
+
+// Buffer returns an n-sample buffer for the IQ of a burst about to go on
+// this medium; its contents are unspecified, so the caller writes all n
+// samples. The medium owns it: it lives exactly as long as the bursts do,
+// until the next ClearBursts, after which the medium hands it out again.
+// Reusing buffers across trials keeps the per-trial transmit path free of
+// allocation. The smallest free buffer that fits is reused; when none
+// fits, the largest free one is dropped in favour of a new one, so the
+// pool never holds more buffers than one trial used at once.
+func (m *Medium) Buffer(n int) []complex128 {
+	best, largest := -1, -1
+	for i, b := range m.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(m.free[best])) {
+			best = i
+		}
+		if largest < 0 || cap(b) > cap(m.free[largest]) {
+			largest = i
+		}
+	}
+	var buf []complex128
+	if best >= 0 {
+		buf = m.free[best][:n]
+		m.dropFree(best)
+	} else {
+		if largest >= 0 {
+			m.dropFree(largest)
+		}
+		buf = make([]complex128, n)
+	}
+	m.lent = append(m.lent, buf)
+	return buf
+}
+
+// dropFree removes free-list entry i (order is irrelevant).
+func (m *Medium) dropFree(i int) {
+	last := len(m.free) - 1
+	m.free[i] = m.free[last]
+	m.free[last] = nil
+	m.free = m.free[:last]
 }
 
 // Observe returns the noiseless superposition seen by antenna rx on MICS
@@ -269,9 +333,10 @@ func (m *Medium) Observe(rx AntennaID, ch int, start int64, n int) []complex128 
 // ObserveInto is Observe with a caller-owned destination: dst is grown if
 // its capacity is short, zeroed, filled, and returned at length n. Hot
 // paths (the shield's defense scans, the IMD's receive windows) pass a
-// per-device scratch buffer so a full exchange observes the medium without
-// allocating. The returned slice aliases dst's backing array and is valid
-// until the caller's next ObserveInto with the same scratch.
+// per-device scratch buffer, so once that scratch has grown to the window
+// size an observation allocates nothing. The returned slice aliases dst's
+// backing array and is valid until the caller's next ObserveInto with the
+// same scratch.
 func (m *Medium) ObserveInto(dst []complex128, rx AntennaID, ch int, start int64, n int) []complex128 {
 	if n < 0 {
 		panic(fmt.Sprintf("channel: negative observation length %d", n))

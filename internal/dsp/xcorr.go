@@ -145,65 +145,84 @@ func (p *XCorrPlan) Lags(n int) int {
 	return n - p.m + 1
 }
 
+// LagSpan is the half-open lag range [Lo, Hi) of a correlation a caller
+// needs; an empty span (Hi <= Lo) needs nothing.
+type LagSpan struct{ Lo, Hi int }
+
 // Correlate computes the sliding correlation of x against reference r,
 // writing Lags(len(x)) values into dst (grown as needed) and returning it.
 // It returns nil when x is shorter than the reference.
 func (p *XCorrPlan) Correlate(dst []complex128, x []complex128, r int) []complex128 {
-	res := p.CorrelateAll([][]complex128{dst}, x, r, r+1)
+	spans := make([]LagSpan, r+1)
+	spans[r] = LagSpan{0, p.Lags(len(x))}
+	dsts := make([][]complex128, r+1)
+	dsts[r] = dst
+	res := p.CorrelateAll(dsts, x, spans)
 	if res == nil {
 		return nil
 	}
-	return res[0]
+	return res[r]
 }
 
-// CorrelateAll computes the sliding correlation of x against references
-// [rLo, rHi), sharing one forward FFT per input block across all of them.
-// dst[i] receives the lags for reference rLo+i (slices are grown as
-// needed); dst itself is grown if it has fewer than rHi-rLo entries. It
-// returns nil when x is shorter than the reference.
-func (p *XCorrPlan) CorrelateAll(dst [][]complex128, x []complex128, rLo, rHi int) [][]complex128 {
+// CorrelateAll computes the sliding correlation of x against the first
+// len(spans) references, sharing one forward FFT per input block across
+// them, and only over the lags each one needs: for reference r it writes
+// the lags in spans[r] (clipped to [0, Lags(len(x)))) into dst[r] at
+// their own indices, leaving the rest of dst[r] as it was. dst is grown
+// to len(spans) entries and each dst[r] with a non-empty span to
+// Lags(len(x)) samples. A block that holds none of a reference's span
+// skips that reference's inverse transform, and a block no span reaches
+// skips its forward transform too. The block grid starts at lag 0
+// whatever the spans are, so every lag written has the same bits as in a
+// sweep of all lags. It returns nil when x is shorter than the
+// reference.
+func (p *XCorrPlan) CorrelateAll(dst [][]complex128, x []complex128, spans []LagSpan) [][]complex128 {
 	nOut := p.Lags(len(x))
 	if nOut == 0 {
 		return nil
 	}
-	nRef := rHi - rLo
-	for len(dst) < nRef {
+	if len(spans) > len(p.refF) {
+		panic(fmt.Sprintf("dsp: CorrelateAll with %d spans for %d references", len(spans), len(p.refF)))
+	}
+	for len(dst) < len(spans) {
 		dst = append(dst, nil)
 	}
-	dst = dst[:nRef]
-	for i := range dst {
-		if cap(dst[i]) < nOut {
-			dst[i] = make([]complex128, nOut)
+	dst = dst[:len(spans)]
+	for r, sp := range spans {
+		if sp.Hi <= sp.Lo {
+			continue
 		}
-		dst[i] = dst[i][:nOut]
+		if cap(dst[r]) < nOut {
+			dst[r] = make([]complex128, nOut)
+		}
+		dst[r] = dst[r][:nOut]
 	}
 
 	sc := p.pool.Get().(*xcorrScratch)
 	defer p.pool.Put(sc)
 
 	for base := 0; base < nOut; base += p.hop {
-		// Load one block of input, zero-padding past the end of x.
-		avail := len(x) - base
-		if avail > p.block {
-			avail = p.block
-		}
-		copy(sc.x, x[base:base+avail])
-		for i := avail; i < p.block; i++ {
-			sc.x[i] = 0
-		}
-		p.fft.Forward(sc.x)
-
-		nv := nOut - base
-		if nv > p.hop {
-			nv = p.hop
-		}
-		for r := rLo; r < rHi; r++ {
+		end := min(base+p.hop, nOut)
+		loaded := false
+		for r, sp := range spans {
+			lo, hi := max(sp.Lo, base), min(sp.Hi, end)
+			if lo >= hi {
+				continue
+			}
+			if !loaded {
+				// Load one block of input, zero-padding past the end of x.
+				avail := min(len(x)-base, p.block)
+				copy(sc.x, x[base:base+avail])
+				clear(sc.x[avail:])
+				p.fft.Forward(sc.x)
+				loaded = true
+			}
 			spec := p.refF[r]
 			for i := range sc.y {
 				sc.y[i] = sc.x[i] * spec[i]
 			}
 			p.fft.InverseRaw(sc.y)
-			copy(dst[r-rLo][base:base+nv], sc.y[:nv])
+			copy(dst[r][lo:hi], sc.y[lo-base:hi-base])
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,7 +83,7 @@ func TestXCorrPlanMultiRef(t *testing.T) {
 	var dst [][]complex128
 	for trial := 0; trial < 3; trial++ {
 		x := randComplex(rng, 2000+137*trial)
-		dst = p.CorrelateAll(dst, x, 0, len(refs))
+		dst = p.CorrelateAll(dst, x, fullSpans(len(refs), p.Lags(len(x))))
 		for r, ref := range refs {
 			want := CrossCorrelate(x, ref)
 			if e := maxAbsErrC(dst[r], want); e > 1e-9 {
@@ -90,6 +91,137 @@ func TestXCorrPlanMultiRef(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fullSpans asks every one of nRef references for all nOut lags.
+func fullSpans(nRef, nOut int) []LagSpan {
+	spans := make([]LagSpan, nRef)
+	for r := range spans {
+		spans[r] = LagSpan{0, nOut}
+	}
+	return spans
+}
+
+// fullSweep is the span-free overlap-save sweep XCorrPlan.CorrelateAll
+// ran before it learned spans: every block, every reference, every lag.
+// It is kept here as the bitwise reference for the pruned sweep.
+func fullSweep(p *XCorrPlan, x []complex128) [][]complex128 {
+	nOut := p.Lags(len(x))
+	out := make([][]complex128, len(p.refF))
+	for r := range out {
+		out[r] = make([]complex128, nOut)
+	}
+	xb := make([]complex128, p.block)
+	y := make([]complex128, p.block)
+	for base := 0; base < nOut; base += p.hop {
+		avail := len(x) - base
+		if avail > p.block {
+			avail = p.block
+		}
+		copy(xb, x[base:base+avail])
+		for i := avail; i < p.block; i++ {
+			xb[i] = 0
+		}
+		p.fft.Forward(xb)
+		nv := nOut - base
+		if nv > p.hop {
+			nv = p.hop
+		}
+		for r, spec := range p.refF {
+			for i := range y {
+				y[i] = xb[i] * spec[i]
+			}
+			p.fft.InverseRaw(y)
+			copy(out[r][base:base+nv], y[:nv])
+		}
+	}
+	return out
+}
+
+// TestXCorrPlanSpansMatchFullSweep is the bitwise wall of span pruning:
+// at the sync correlator's shape (four 48-sample references read at the
+// segment offsets of the [0×8,1,2,2,3] map, 256-point blocks, hop 209),
+// every lag inside a reference's span must carry exactly the bits of the
+// full sweep, and every lag outside it must be left untouched. Inputs
+// run from one block to nine, with both full 1024-lag chunks and short
+// last chunks, plus arbitrary, clipped and empty spans.
+func TestXCorrPlanSpansMatchFullSweep(t *testing.T) {
+	const m = 48
+	rng := rand.New(rand.NewSource(17))
+	refs := make([][]complex128, 4)
+	for r := range refs {
+		refs[r] = randComplex(rng, m)
+	}
+	p := NewXCorrPlan(refs...)
+	if p.block != 256 || p.hop != 209 {
+		t.Fatalf("plan block/hop = %d/%d, want 256/209", p.block, p.hop)
+	}
+	segRef := []int{0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 3}
+	offs := make([]LagSpan, len(refs))
+	for s := len(segRef) - 1; s >= 0; s-- {
+		offs[segRef[s]].Lo = s * m
+	}
+	for s, r := range segRef {
+		offs[r].Hi = s * m
+	}
+	span := len(segRef) * m
+
+	check := func(name string, x []complex128, spans []LagSpan) {
+		t.Helper()
+		want := fullSweep(p, x)
+		nOut := p.Lags(len(x))
+		sentinel := complex(math.Inf(1), math.NaN())
+		dst := make([][]complex128, len(spans))
+		for r := range dst {
+			dst[r] = make([]complex128, nOut)
+			for i := range dst[r] {
+				dst[r][i] = sentinel
+			}
+		}
+		got := p.CorrelateAll(dst, x, spans)
+		for r, sp := range spans {
+			for k := 0; k < nOut; k++ {
+				g := got[r][k]
+				if k >= sp.Lo && k < sp.Hi {
+					if !sameBitsC(g, want[r][k]) {
+						t.Fatalf("%s: ref %d lag %d = %v, full sweep %v", name, r, k, g, want[r][k])
+					}
+				} else if !sameBitsC(g, sentinel) {
+					t.Fatalf("%s: ref %d lag %d outside span %v was written", name, r, k, sp)
+				}
+			}
+		}
+	}
+
+	for blocks := 1; blocks <= 9; blocks++ {
+		for _, trim := range []int{0, 1, 100, 208} {
+			nOut := blocks*p.hop - trim
+			if nOut <= span-m {
+				continue
+			}
+			// A sync chunk of L lags correlates L-1+span samples, i.e.
+			// L+span-m lags.
+			lags := nOut - (span - m)
+			x := randComplex(rng, nOut+m-1)
+			spans := make([]LagSpan, len(offs))
+			for r, o := range offs {
+				spans[r] = LagSpan{o.Lo, o.Hi + lags}
+			}
+			check(fmt.Sprintf("sync %d blocks, %d lags", blocks, lags), x, spans)
+		}
+		nOut := blocks*p.hop - 7
+		x := randComplex(rng, nOut+m-1)
+		a, b := rng.Intn(nOut), rng.Intn(nOut)
+		check(fmt.Sprintf("arbitrary %d blocks", blocks), x, []LagSpan{
+			{min(a, b), max(a, b) + 1}, {0, nOut}, {nOut / 2, nOut + 500}, {5, 5},
+		})
+	}
+}
+
+// sameBitsC reports whether a and b have identical bit patterns.
+func sameBitsC(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 }
 
 // TestXCorrPlanEdgeCases covers too-short inputs and single-lag outputs.

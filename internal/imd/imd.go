@@ -204,7 +204,8 @@ func (d *Device) ProcessWindow(start int64, n int) Reaction {
 	delaySec := d.Profile.T1 + d.rng.Float64()*(d.Profile.T2-d.Profile.T1)
 	respStart := frameEnd + int64(d.Modem.Config().SamplesForDuration(delaySec))
 
-	iq := d.TX.Transmit(d.Modem.ModulateFrame(resp))
+	mod := d.Modem.ModulateFrame(resp)
+	iq := d.TX.TransmitInto(d.Medium.Buffer(len(mod)), mod, d.TX.PowerDBm)
 	burst := &channel.Burst{Channel: d.Channel, Start: respStart, IQ: iq, From: d.Antenna}
 	d.Medium.AddBurst(burst)
 	d.txSamples += int64(len(iq))
@@ -304,7 +305,8 @@ func (d *Device) EmergencyTransmit(start int64) *channel.Burst {
 		Command: phy.CmdDataResponse,
 		Payload: append([]byte("EMERGENCY:VF-DETECTED;"), d.patientData()[:40]...),
 	}
-	iq := d.TX.Transmit(d.Modem.ModulateFrame(f))
+	mod := d.Modem.ModulateFrame(f)
+	iq := d.TX.TransmitInto(d.Medium.Buffer(len(mod)), mod, d.TX.PowerDBm)
 	burst := &channel.Burst{Channel: d.Channel, Start: start, IQ: iq, From: d.Antenna}
 	d.Medium.AddBurst(burst)
 	d.txSamples += int64(len(iq))

@@ -75,6 +75,10 @@ type FSK struct {
 	refSegE []float64 // per-segment reference energy
 	segRef  []int     // segment index -> unique reference index
 	xcPlan  *dsp.XCorrPlan
+	// refOffs[u] holds the first and last segment offsets (samples) at
+	// which unique reference u is read; a chunk of L lags needs its lags
+	// [first, last+L) and no others.
+	refOffs []dsp.LagSpan
 
 	// Demod acceleration: tone[n] = e^{-j 2π Deviation n / fs}, the
 	// cfo-free +Deviation matched phasor; the -Deviation hypothesis is its
@@ -98,6 +102,7 @@ const frameCacheMax = 64
 
 type syncScratch struct {
 	corr   [][]complex128
+	spans  []dsp.LagSpan // per-reference lag spans of the current chunk
 	prefix []float64
 	out    []float64 // per-chunk metric buffer for the streaming scan
 }
@@ -148,7 +153,9 @@ func (m *FSK) buildSyncPlan() {
 		if m.segRef[s] < 0 {
 			m.segRef[s] = len(uniq)
 			uniq = append(uniq, seg)
+			m.refOffs = append(m.refOffs, dsp.LagSpan{Lo: s * m.segLen})
 		}
+		m.refOffs[m.segRef[s]].Hi = s * m.segLen
 	}
 	m.xcPlan = dsp.NewXCorrPlan(uniq...)
 }
@@ -216,7 +223,7 @@ func (m *FSK) Modulate(bits []byte) []complex128 {
 // ModulateFrame modulates a PHY frame to unit-power IQ. The returned
 // slice may be shared with other callers (repeated frames are served
 // from a cache) and must be treated as read-only; every transmit path
-// copies it through TXChain.Transmit.
+// writes its TX-chain output to a separate buffer (TXChain.TransmitInto).
 func (m *FSK) ModulateFrame(f *phy.Frame) []complex128 {
 	bits := f.MarshalBits()
 	key := string(bits)
@@ -389,12 +396,19 @@ func (m *FSK) syncMetric(x []complex128) []float64 {
 // syncChunk fills out (hi-lo entries) with the metric for lags [lo, hi):
 // one FFT correlation sweep per unique segment waveform (the block forward
 // transforms are shared across them), and O(1) sliding segment energies
-// from a prefix sum, replacing the former per-lag recomputation.
+// from a prefix sum, replacing the former per-lag recomputation. Each
+// unique waveform is only correlated over the lags its segments read, so
+// the preamble's repeated pattern skips the blocks past its last
+// repetition and the later segments skip the blocks before their first.
 func (m *FSK) syncChunk(x []complex128, lo, hi int, out []float64, sc *syncScratch) {
 	span := m.nSeg * m.segLen
 	sub := x[lo : hi-1+span]
 
-	sc.corr = m.xcPlan.CorrelateAll(sc.corr, sub, 0, m.xcPlan.NumRefs())
+	sc.spans = append(sc.spans[:0], m.refOffs...)
+	for u := range sc.spans {
+		sc.spans[u].Hi += hi - lo
+	}
+	sc.corr = m.xcPlan.CorrelateAll(sc.corr, sub, sc.spans)
 	sc.prefix = dsp.PrefixEnergy(sc.prefix, sub)
 
 	for i := range out {

@@ -50,7 +50,8 @@ func (p *Programmer) ListenBeforeTalk(ch int, start int64) bool {
 // Transmit modulates and places a frame on channel ch at sample start,
 // returning the burst.
 func (p *Programmer) Transmit(ch int, start int64, f *phy.Frame) *channel.Burst {
-	iq := p.TX.Transmit(p.Modem.ModulateFrame(f))
+	mod := p.Modem.ModulateFrame(f)
+	iq := p.TX.TransmitInto(p.Medium.Buffer(len(mod)), mod, p.TX.PowerDBm)
 	b := &channel.Burst{Channel: ch, Start: start, IQ: iq, From: p.Antenna}
 	p.Medium.AddBurst(b)
 	return b

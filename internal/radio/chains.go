@@ -28,14 +28,18 @@ type TXChain struct {
 	SampleRate float64
 }
 
-// Transmit returns a new slice: iq scaled to PowerDBm (assuming unit-power
-// input), quantized, and rotated by the chain's CFO. The input is not
-// modified.
-func (t *TXChain) Transmit(iq []complex128) []complex128 {
-	amp := math.Sqrt(dsp.FromDBm(t.PowerDBm))
-	// Clone, scale and quantize in one pass — this runs once per burst
-	// over window-length buffers, so each saved sweep is measurable.
-	out := make([]complex128, len(iq))
+// TransmitInto writes iq into dst as it leaves the antenna at powerDBm:
+// scaled to that power (assuming unit-power input), quantized, and rotated
+// by the chain's CFO. dst must hold len(iq) samples and may not overlap
+// iq; the input is not modified. It is the chain's one transmit body —
+// callers pass a buffer from the Medium for bursts that go on the air, or
+// their own scratch for transmissions that never do (probes). It returns
+// dst[:len(iq)].
+func (t *TXChain) TransmitInto(dst, iq []complex128, powerDBm float64) []complex128 {
+	out := dst[:len(iq)]
+	amp := math.Sqrt(dsp.FromDBm(powerDBm))
+	// Scale and quantize in one pass — this runs once per burst over
+	// window-length buffers, so each saved sweep is measurable.
 	camp := complex(amp, 0)
 	if t.DACBits > 0 {
 		q := newQuantizer(amp*1.25, t.DACBits)
@@ -54,14 +58,15 @@ func (t *TXChain) Transmit(iq []complex128) []complex128 {
 	return out
 }
 
-// TransmitAt is Transmit with an explicit power override in dBm, used when
-// a device changes power per burst (e.g. the shield's calibrated jamming
-// level or an adversary's power sweep).
+// Transmit is TransmitInto at the configured PowerDBm, into a new slice.
+func (t *TXChain) Transmit(iq []complex128) []complex128 {
+	return t.TransmitInto(make([]complex128, len(iq)), iq, t.PowerDBm)
+}
+
+// TransmitAt is TransmitInto at an explicit power override in dBm, into
+// a new slice; the chain's PowerDBm is neither read nor changed.
 func (t *TXChain) TransmitAt(iq []complex128, powerDBm float64) []complex128 {
-	saved := t.PowerDBm
-	t.PowerDBm = powerDBm
-	defer func() { t.PowerDBm = saved }()
-	return t.Transmit(iq)
+	return t.TransmitInto(make([]complex128, len(iq)), iq, powerDBm)
 }
 
 // quantizer is a bits-wide uniform quantizer with full scale fullScale

@@ -249,7 +249,8 @@ type TxMonitorResult struct {
 // from overwriting the shield's message to the IMD with a capture-effect
 // attack.
 func (s *Shield) TransmitAndMonitor(f *phy.Frame, start int64) (*channel.Burst, TxMonitorResult) {
-	iq := s.TXRx.Transmit(s.Modem.ModulateFrame(f))
+	mod := s.Modem.ModulateFrame(f)
+	iq := s.TXRx.TransmitInto(s.Medium.Buffer(len(mod)), mod, s.TXRx.PowerDBm)
 	burst := &channel.Burst{Channel: s.Channel, Start: start, IQ: iq, From: s.RxAntenna}
 	s.Medium.AddBurst(burst)
 	return burst, s.MonitorOwnTransmission(burst, iq)
@@ -322,17 +323,16 @@ func (s *Shield) CancellationDB(n int) float64 {
 		panic("shieldcore: CancellationDB without channel estimate")
 	}
 	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(unit, s.jamTxPowerDBm())
+	s.txScratch = grow(s.txScratch, n)
+	jamTx := s.TXJam.TransmitInto(s.txScratch, unit, s.jamTxPowerDBm())
 
 	hTrue := s.Medium.Gain(s.JamAntenna, s.RxAntenna)
 	hSelf := s.Medium.Gain(s.RxAntenna, s.RxAntenna)
 
 	// One reused buffer serves both measurements sequentially; the noise
 	// draw order (without first, then with) matches the two-buffer form.
-	if cap(s.cancelScratch) < n {
-		s.cancelScratch = make([]complex128, n)
-	}
-	buf := s.cancelScratch[:n]
+	s.cancelScratch = grow(s.cancelScratch, n)
+	buf := s.cancelScratch
 	for i := range buf {
 		buf[i] = hTrue * jamTx[i]
 	}

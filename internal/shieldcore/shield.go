@@ -107,12 +107,25 @@ type Shield struct {
 	// main defense/decode windows, senseScratch the short in-jam carrier
 	// checks that run while obsScratch is live, probeScratch the channel-
 	// estimation probes, and cancelScratch the cancellation measurements.
-	// The shield is single-goroutine (like the Medium), so plain fields
-	// suffice.
+	// txScratch holds the TX-chain output of the two transmissions that
+	// never go on the medium (the probes and the CancellationDB jam);
+	// everything the shield puts on the air is written into a Medium
+	// buffer instead. The shield is single-goroutine (like the Medium), so
+	// plain fields suffice.
 	obsScratch    []complex128
 	senseScratch  []complex128
 	probeScratch  []complex128
 	cancelScratch []complex128
+	txScratch     []complex128
+}
+
+// grow returns buf resliced to n samples, reallocated only when its
+// capacity is short; the contents are unspecified.
+func grow(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
 }
 
 // ChannelEstimate holds the probe-derived channel knowledge.
@@ -254,10 +267,8 @@ func (s *Shield) ResetAlarms() { s.alarms = nil }
 // correlated against it. In deployment this runs before every jam and
 // every 200 ms when idle.
 func (s *Shield) EstimateChannels() ChannelEstimate {
-	if cap(s.probeScratch) < s.ProbeLen {
-		s.probeScratch = make([]complex128, s.ProbeLen)
-	}
-	probe := s.probeScratch[:s.ProbeLen]
+	s.probeScratch = grow(s.probeScratch, s.ProbeLen)
+	probe := s.probeScratch
 	s.rng.FillComplexNormal(probe, 1)
 	s.est = ChannelEstimate{
 		HJamToRx: s.estimateOneChannel(probe, s.TXJam, s.JamAntenna),
@@ -273,12 +284,11 @@ func (s *Shield) EstimateChannels() ChannelEstimate {
 // the medium's link gains plus honest receiver noise instead of being
 // placed on the medium as a burst.
 func (s *Shield) estimateOneChannel(probe []complex128, tx *radio.TXChain, fromAnt channel.AntennaID) complex128 {
-	sent := tx.TransmitAt(probe, s.ProbePowerDBm)
+	s.txScratch = grow(s.txScratch, len(probe))
+	sent := tx.TransmitInto(s.txScratch, probe, s.ProbePowerDBm)
 	h := s.Medium.Gain(fromAnt, s.RxAntenna)
-	if cap(s.cancelScratch) < len(sent) {
-		s.cancelScratch = make([]complex128, len(sent))
-	}
-	rxObs := s.cancelScratch[:len(sent)]
+	s.cancelScratch = grow(s.cancelScratch, len(sent))
+	rxObs := s.cancelScratch
 	for i := range sent {
 		rxObs[i] = h * sent[i]
 	}
@@ -372,7 +382,7 @@ func (s *Shield) placeJamAt(ch int, start int64, n int, powerDBm float64) *JamPl
 		panic("shieldcore: PlaceJam without channel estimate")
 	}
 	unit := s.jamGen.Generate(n)
-	jamTx := s.TXJam.TransmitAt(unit, powerDBm)
+	jamTx := s.TXJam.TransmitInto(s.Medium.Buffer(n), unit, powerDBm)
 
 	jp := &JamPlacement{
 		Start:   start,
@@ -383,9 +393,13 @@ func (s *Shield) placeJamAt(ch int, start int64, n int, powerDBm float64) *JamPl
 	}
 	s.Medium.AddBurst(jp.Jam)
 	if s.AntidoteEnabled {
+		// One pass from jamTx: v*ratio is the same product, bit for bit,
+		// as scaling a clone in place.
 		ratio := -s.est.HJamToRx / s.est.HSelf
-		antidoteTx := dsp.Clone(jamTx)
-		dsp.ScaleC(antidoteTx, ratio)
+		antidoteTx := s.Medium.Buffer(n)
+		for i, v := range jamTx {
+			antidoteTx[i] = v * ratio
+		}
 		jp.Antidote = &channel.Burst{Channel: ch, Start: start, IQ: antidoteTx, From: s.RxAntenna}
 		jp.antidoteTx = antidoteTx
 		s.Medium.AddBurst(jp.Antidote)

@@ -457,13 +457,7 @@ func TestIdleReapAutoReconnectOverImpairedPacket(t *testing.T) {
 	// Go idle until the reaper kills the session server-side. The
 	// datagram client hears nothing — the death is discovered by the
 	// next request's retransmits running dry.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle datagram session never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitReap(t, srv, c, 0, "idle datagram session never reaped")
 	if n := srv.DatagramPeers(); n != 0 {
 		t.Errorf("reaped session left %d datagram peers registered", n)
 	}

@@ -309,13 +309,7 @@ func TestAutoReconnectAfterIdleReap(t *testing.T) {
 	firstSession := c.SessionID()
 
 	// Wait for the reaper to kill the idle connection.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitReap(t, srv, c, 0, "session never reaped")
 
 	// The next request must transparently re-dial, re-handshake with
 	// fresh nonces, and restart the seed-31 stream from the beginning.

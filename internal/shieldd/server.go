@@ -860,8 +860,11 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 			case <-tick.C:
 				idleFor := time.Duration(time.Now().UnixNano() - lastActivity.Load())
 				if !busy() && idleFor >= s.cfg.IdleTimeout {
-					s.met.ReapedSessions.Add(1)
+					// Count the reap only once the transport is closed:
+					// whoever observes the counter may rely on the
+					// session being gone.
 					tc.close()
+					s.met.ReapedSessions.Add(1)
 					return
 				}
 			}

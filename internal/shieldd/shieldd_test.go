@@ -26,6 +26,22 @@ func newServer(t *testing.T, cfg shieldd.ServerConfig) *shieldd.Server {
 	return srv
 }
 
+// awaitReap waits until the server's idle reaper has closed a session
+// beyond the first `before` and the client has seen its transport go
+// (Client.SawTransportLoss), so the test's next request cannot race the
+// close into a socket that is about to die. It fails the test with msg
+// after five seconds.
+func awaitReap(t *testing.T, srv *shieldd.Server, c *shieldd.Client, before uint64, msg string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().ReapedSessions <= before || !c.SawTransportLoss() {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // exchangePair is the observable result stream of a session: two
 // exchanges (interrogate, then set-therapy), as the acceptance test runs
 // them both locally and remotely.

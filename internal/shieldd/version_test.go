@@ -169,13 +169,7 @@ func TestV4ResumptionStream(t *testing.T) {
 	}
 	firstSession := c.SessionID()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitReap(t, srv, c, 0, "session never reaped")
 
 	again, err := c.Exchange(0, wire.CmdInterrogate)
 	if err != nil {
@@ -196,14 +190,7 @@ func TestV4ResumptionStream(t *testing.T) {
 
 	// Each resumption mints a fresh single-use ticket: a second reap
 	// cycle must resume again, not fall back to the full AKE.
-	reaped := srv.Metrics().ReapedSessions
-	deadline = time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == reaped {
-		if time.Now().After(deadline) {
-			t.Fatal("resumed session never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitReap(t, srv, c, srv.Metrics().ReapedSessions, "resumed session never reaped")
 	if _, err := c.Exchange(0, wire.CmdInterrogate); err != nil {
 		t.Fatalf("exchange after second reap: %v", err)
 	}
@@ -251,13 +238,7 @@ func TestV4ResumptionDatagramGate(t *testing.T) {
 	defer c.Close()
 	first := clientPair(t, c)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().ReapedSessions == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle datagram session never reaped")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitReap(t, srv, c, 0, "idle datagram session never reaped")
 
 	// The death is only observable via retransmit exhaustion: the first
 	// post-reap request fails and poisons the session, the next one

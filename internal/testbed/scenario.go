@@ -382,12 +382,16 @@ func (sc *Scenario) CalibrateShieldRSSI() float64 { return sc.CalibrateIMD(0) }
 // CalibrateIMD measures IMD i's received power at the shield with one
 // unjammed exchange, leaving the shield's RSSI set for that device. A
 // multi-IMD session calibrates each implant once and restores the
-// measurement with Shield.SetIMDRSSI when it switches targets.
+// measurement with Shield.SetIMDRSSI when it switches targets. It leaves
+// the medium holding no sample buffers: a calibrated session may sit
+// idle indefinitely before (or instead of) its first exchange.
 func (sc *Scenario) CalibrateIMD(i int) float64 {
 	dev := sc.IMDs[i]
 	sc.Medium.ClearBursts()
 	cmd := &phy.Frame{Serial: dev.Profile.Serial, Command: phy.CmdInterrogate, Payload: CommandPayload()}
-	iq := sc.Shield.TXRx.Transmit(sc.FSK.ModulateFrame(cmd))
+	mod := sc.FSK.ModulateFrame(cmd)
+	tx := sc.Shield.TXRx
+	iq := tx.TransmitInto(sc.Medium.Buffer(len(mod)), mod, tx.PowerDBm)
 	burst := &channel.Burst{Channel: sc.Channel(), Start: 0, IQ: iq, From: AntShieldRx}
 	sc.Medium.AddBurst(burst)
 	re := dev.ProcessWindow(0, int(burst.End())+2000)
@@ -396,7 +400,7 @@ func (sc *Scenario) CalibrateIMD(i int) float64 {
 		b := re.ResponseBurst
 		rssi = sc.Shield.MeasureIMDRSSI(b.Start, int(b.End()-b.Start))
 	}
-	sc.Medium.ClearBursts()
+	sc.Medium.ReleaseBuffers()
 	dev.ResetCounters()
 	return rssi
 }
