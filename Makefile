@@ -63,12 +63,16 @@ BENCH_THRESHOLD ?= 25
 # SOAK_SESSION_FLOOR sessions to have survived with byte-identical
 # reports across all iterations. Each iteration runs SOAK_TESTS once,
 # which exercises SOAK_SESSIONS_PER_ITER legitimate sessions (32 chaos
-# + 4 flood + 6 partition + 3 shed + 1 reap); every one of them asserts
-# its report matches the unloaded in-process run, so a passing
-# iteration IS the survival proof.
+# UDP + 1 spurious-retransmit + 8 pipelined chaos + 4 flood + 6
+# partition + 3 shed + 1 reap-and-reconnect); every one of them asserts
+# exactly-once execution, and all but two of the shed sessions assert
+# a report equal to the unloaded in-process run, so a passing iteration
+# IS the survival proof. The TestHandshake* tests and
+# TestIdleReaperReturnsScenarioToPool also match SOAK_TESTS but check
+# refusals and reaping, not reports, so they are not counted.
 SOAK_DURATION ?= 60
 SOAK_SESSION_FLOOR ?= 46
-SOAK_SESSIONS_PER_ITER ?= 46
+SOAK_SESSIONS_PER_ITER ?= 55
 SOAK_TESTS ?= TestChaos|TestFlood|TestPartition|TestShed|TestIdleReap|TestHandshake
 # Fleet loadcheck knobs: the barrier leg proves LOAD_SESSIONS sessions
 # concurrently open across LOAD_DAEMONS shieldd processes with zero
@@ -175,8 +179,9 @@ fuzz-nightly:
 
 # The adversarial handshake wall: the sectest suite mounts the
 # forward-secrecy, key-compromise, replay, and downgrade attacks against
-# a live server — including the leg that must keep SUCCEEDING against
-# the legacy pre-v4 derivation, proving the attacker model has teeth.
+# a live server — including the leg that must keep SUCCEEDING against a
+# session the legacy recorder synthesizes under the retired pre-v4
+# derivation, proving the attacker model has teeth.
 seccheck:
 	$(GO) test -count=1 -timeout 5m ./internal/securelink/sectest
 

@@ -11,8 +11,8 @@
 //	shieldd -listen :7700 -listen-udp :7701 -secret swordfish
 //	shieldd -listen :7700 -secret swordfish -admission-wait -1ns -handshake-rate 50 -max-inflight-global 256
 //
-// -listen-udp additionally serves the datagram transport (wire v2 with
-// client retransmission and server-side request dedup) on a UDP socket,
+// -listen-udp additionally serves the datagram transport (the same wire
+// protocol, with client retransmission and server-side request dedup) on a UDP socket,
 // alongside TCP. The admission flags bound overload: -admission-wait
 // caps how long a handshake may queue for a session slot (negative
 // sheds immediately), -handshake-rate/-handshake-burst meter datagram

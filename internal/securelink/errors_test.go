@@ -17,7 +17,7 @@ func wireKindMessages() map[string][]byte {
 	hello := &wire.Hello{Version: wire.Version, Seed: 1}
 	return map[string][]byte{
 		"hello":           hello.Encode(),
-		"challenge":       (&wire.Challenge{}).Encode(),
+		"challenge":       (&wire.Challenge2{KeyShare: make([]byte, securelink.KeyShareLen)}).Encode(),
 		"hello-ack":       (&wire.HelloAck{Version: wire.Version, SessionID: 7}).Encode(),
 		"exchange-req":    (&wire.ExchangeReq{IMD: 1, Cmd: wire.CmdSetTherapy}).Encode(),
 		"exchange-resp":   (&wire.ExchangeResp{Response: []byte("data"), ResponseCommand: "data-response", EavesBER: 0.5, CancellationDB: 32}).Encode(),
@@ -273,21 +273,26 @@ func TestRekey(t *testing.T) {
 	})
 }
 
-// SessionSecret must give independent links per nonce: a frame sealed for
-// one session never opens in another, while equal nonces interoperate.
+// Session secrets must give independent links per session: a frame
+// sealed for one session never opens in another, while equal
+// transcripts interoperate.
 func TestSessionSecretDerivation(t *testing.T) {
 	master := []byte("master")
-	nA := []byte("nonce-A")
-	nB := []byte("nonce-B")
-	_, progA, err := securelink.Pair(securelink.SessionSecret(master, nA))
+	secret := func(nonce string) []byte {
+		hs := securelink.NewHandshake(securelink.HandshakeLabelV4)
+		hs.MixHash([]byte(nonce))
+		hs.MixKey(master)
+		return hs.SessionSecret()
+	}
+	_, progA, err := securelink.Pair(secret("nonce-A"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shieldA2, _, err := securelink.Pair(securelink.SessionSecret(master, nA))
+	shieldA2, _, err := securelink.Pair(secret("nonce-A"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shieldB, _, err := securelink.Pair(securelink.SessionSecret(master, nB))
+	shieldB, _, err := securelink.Pair(secret("nonce-B"))
 	if err != nil {
 		t.Fatal(err)
 	}

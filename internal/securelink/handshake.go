@@ -10,9 +10,9 @@
 //
 //   - Forward secrecy: a later compromise of the master PSK cannot
 //     reconstruct the session secret of a recorded full handshake (the
-//     ephemeral DH private keys are gone), unlike the v1–v3
-//     SessionSecret derivation, which is a pure function of the master
-//     and two public nonces.
+//     ephemeral DH private keys are gone), unlike the retired v1–v3
+//     derivation, which was a pure function of the master and two
+//     public nonces (sectest keeps it as the attacker's baseline).
 //   - Transcript binding: an active attacker who rewrites any handshake
 //     field (key share, nonce, announced version, scenario options)
 //     desynchronizes the two ends' transcripts, so the sealed HELLO-ACK

@@ -1,9 +1,10 @@
 // Package sectest is the adversarial harness behind the handshake
-// security wall (`make seccheck`): a transcript recorder, an offline
-// attacker that tries to recover session keys from a recording plus the
-// long-term master secret, a hand-rolled v4 handshake the tests can
-// drive with stolen or replayed credentials, and a frame-rewriting MITM
-// relay for downgrade attacks.
+// security wall (`make seccheck`): a transcript recorder, a recorder
+// that synthesizes a session under the retired v1–v3 key schedule, an
+// offline attacker that tries to recover session keys from a recording
+// plus the long-term master secret, a hand-rolled v4 handshake the
+// tests can drive with stolen or replayed credentials, and a
+// frame-rewriting MITM relay for downgrade attacks.
 //
 // The attacker here is deliberately strong: it knows the protocol, the
 // key schedule, and the provisioned master secret. What it never holds
@@ -14,7 +15,9 @@ package sectest
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net"
@@ -89,6 +92,62 @@ func reframe(stream []byte) ([][]byte, error) {
 	return frames, nil
 }
 
+// legacyChallengeKind is the kind byte of the retired pre-v4 CHALLENGE
+// frame: 0x03 followed by the 16-byte server nonce. The wire package no
+// longer decodes it; the attacker here parses it itself.
+const legacyChallengeKind = 0x03
+
+// legacyChallenge encodes a retired pre-v4 CHALLENGE frame.
+func legacyChallenge(serverNonce [16]byte) []byte {
+	return append([]byte{legacyChallengeKind}, serverNonce[:]...)
+}
+
+// legacySessionSecret is the retired v1–v3 key schedule: the session
+// secret was a pure function of the master secret and the two handshake
+// nonces, both of which crossed the wire in plaintext.
+func legacySessionSecret(master, nonces []byte) []byte {
+	mac := hmac.New(sha256.New, master)
+	mac.Write([]byte("securelink session v1"))
+	mac.Write(nonces)
+	return mac.Sum(nil)
+}
+
+// RecordLegacySession synthesizes the transcript of one session keyed by
+// the retired v1–v3 schedule — what an eavesdropper of a legacy session
+// holds. The server no longer speaks that protocol, so the recorder
+// plays both ends: a plaintext v3 HELLO, the legacy CHALLENGE, then a
+// sealed HELLO-ACK, one exchange and a BYE in v3 envelopes, sealed under
+// securelink.Pair(legacySessionSecret(master, nonces)).
+func RecordLegacySession(master []byte, seed int64) (*Recording, error) {
+	hello := &wire.Hello{Version: 3, Seed: seed}
+	var serverNonce [16]byte
+	if _, err := rand.Read(hello.Nonce[:]); err != nil {
+		return nil, err
+	}
+	if _, err := rand.Read(serverNonce[:]); err != nil {
+		return nil, err
+	}
+	nonces := append(append([]byte(nil), hello.Nonce[:]...), serverNonce[:]...)
+	shield, prog, err := securelink.Pair(legacySessionSecret(master, nonces))
+	if err != nil {
+		return nil, err
+	}
+	exchange := &wire.ExchangeResp{Response: []byte("patient-data"), ResponseCommand: "data-response"}
+	return &Recording{
+		ClientFrames: [][]byte{
+			hello.Encode(),
+			prog.Seal(wire.EncodeEnvelopeV3(1, 0, 0, &wire.ExchangeReq{Cmd: wire.CmdInterrogate})),
+			prog.Seal(wire.EncodeEnvelopeV3(2, 0, 1, &wire.Bye{})),
+		},
+		ServerFrames: [][]byte{
+			legacyChallenge(serverNonce),
+			shield.Seal((&wire.HelloAck{Version: 3, SessionID: 1}).Encode()),
+			shield.Seal(wire.EncodeEnvelopeV3(1, 0, 1, exchange)),
+			shield.Seal(wire.EncodeEnvelopeV3(2, 0, 2, &wire.Bye{})),
+		},
+	}, nil
+}
+
 // ErrNotRecovered reports that the offline attack failed: no recorded
 // sealed frame opened under any key the attacker could derive.
 var ErrNotRecovered = errors.New("sectest: no recorded frame decrypted")
@@ -97,8 +156,8 @@ var ErrNotRecovered = errors.New("sectest: no recorded frame decrypted")
 // session transcript and the long-term master secret (leaked AFTER the
 // recording was made), derive the session keys and decrypt the traffic.
 //
-// Against the pre-v4 handshake this attack succeeds: both handshake
-// nonces travel in plaintext, and SessionSecret(master, nonces) is all
+// Against the legacy handshake this attack succeeds: both handshake
+// nonces travel in plaintext, and the legacy derivation over them is all
 // there is. Against the v4 AKE the schedule also mixes an X25519
 // ephemeral-ephemeral secret (or a prior session's resumption secret),
 // neither of which the transcript or the master reveals — the attacker
@@ -115,42 +174,42 @@ func RecoverSession(master []byte, rec *Recording) ([][]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("sectest: first client frame is %T, want HELLO", hm)
 	}
-	cm, err := wire.Decode(rec.ServerFrames[0])
+	first := rec.ServerFrames[0]
+	if len(first) == 17 && first[0] == legacyChallengeKind {
+		// Legacy derivation: everything it needs is on the wire.
+		nonces := append(append([]byte(nil), hello.Nonce[:]...), first[1:]...)
+		return openAll(legacySessionSecret(master, nonces), rec)
+	}
+	cm, err := wire.Decode(first)
 	if err != nil {
 		return nil, fmt.Errorf("sectest: first server frame: %w", err)
 	}
-
-	switch ch := cm.(type) {
-	case *wire.Challenge:
-		// Legacy derivation: everything it needs is on the wire.
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), ch.ServerNonce[:]...)
-		return openAll(securelink.SessionSecret(master, nonces), rec)
-	case *wire.Challenge2:
-		// v4: run the real schedule with every input the attacker holds
-		// (transcript + master), then fall back to the legacy derivation
-		// in case the session secret ever regresses to nonce-only.
-		sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
-		sched.MixHash(hello.TranscriptBytes())
-		sched.MixHash(ch.Encode())
-		sched.MixKey(master)
-		if plain, err := openAll(sched.SessionSecret(), rec); err == nil {
-			return plain, nil
-		}
-		// A second guess: maybe the missing DH/resumption input is the
-		// all-zero block a broken implementation would mix.
-		sched2 := securelink.NewHandshake(securelink.HandshakeLabelV4)
-		sched2.MixHash(hello.TranscriptBytes())
-		sched2.MixHash(ch.Encode())
-		sched2.MixKey(master)
-		sched2.MixKey(make([]byte, 32))
-		if plain, err := openAll(sched2.SessionSecret(), rec); err == nil {
-			return plain, nil
-		}
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), ch.ServerNonce[:]...)
-		return openAll(securelink.SessionSecret(master, nonces), rec)
-	default:
+	ch, ok := cm.(*wire.Challenge2)
+	if !ok {
 		return nil, fmt.Errorf("sectest: first server frame is %T, want a challenge", cm)
 	}
+	// v4: run the real schedule with every input the attacker holds
+	// (transcript + master), then fall back to the legacy derivation in
+	// case the session secret ever regresses to nonce-only.
+	sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
+	sched.MixHash(hello.TranscriptBytes())
+	sched.MixHash(ch.Encode())
+	sched.MixKey(master)
+	if plain, err := openAll(sched.SessionSecret(), rec); err == nil {
+		return plain, nil
+	}
+	// A second guess: maybe the missing DH/resumption input is the
+	// all-zero block a broken implementation would mix.
+	sched2 := securelink.NewHandshake(securelink.HandshakeLabelV4)
+	sched2.MixHash(hello.TranscriptBytes())
+	sched2.MixHash(ch.Encode())
+	sched2.MixKey(master)
+	sched2.MixKey(make([]byte, 32))
+	if plain, err := openAll(sched2.SessionSecret(), rec); err == nil {
+		return plain, nil
+	}
+	nonces := append(append([]byte(nil), hello.Nonce[:]...), ch.ServerNonce[:]...)
+	return openAll(legacySessionSecret(master, nonces), rec)
 }
 
 // openAll rebuilds both link directions from a candidate session secret

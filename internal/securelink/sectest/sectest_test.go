@@ -28,14 +28,14 @@ func newServer(t *testing.T, cfg shieldd.ServerConfig) *shieldd.Server {
 }
 
 // recordSession runs one legitimate stream session (handshake, one
-// exchange, BYE) at the given protocol cap and returns its transcript.
-func recordSession(t *testing.T, protocol uint8) *Recording {
+// exchange, BYE) and returns its transcript.
+func recordSession(t *testing.T) *Recording {
 	t.Helper()
 	srv := newServer(t, shieldd.ServerConfig{})
 	cEnd, sEnd := net.Pipe()
 	go srv.ServeConn(sEnd)
 	tap := NewTapConn(cEnd)
-	c, err := shieldd.NewClient(tap, master, shieldd.SessionOptions{Seed: 5, Protocol: protocol})
+	c, err := shieldd.NewClient(tap, master, shieldd.SessionOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +76,9 @@ func mitm(t *testing.T, srv *shieldd.Server, c2s, s2c Rewrite) net.Conn {
 }
 
 // TestSecuritySuite is the adversarial wall the v4 handshake must hold
-// against, and the demonstration that the pre-v4 handshake does not —
-// the forward-secrecy leg's legacy case must keep SUCCEEDING as an
-// attack, or the suite has lost its teeth.
+// against, and the demonstration that the retired pre-v4 key schedule
+// does not — the forward-secrecy leg's legacy case must keep SUCCEEDING
+// as an attack, or the suite has lost its teeth.
 func TestSecuritySuite(t *testing.T) {
 	t.Run("forward-secrecy", testForwardSecrecy)
 	t.Run("key-compromise", testKeyCompromise)
@@ -87,22 +87,29 @@ func TestSecuritySuite(t *testing.T) {
 }
 
 // Forward secrecy: record a session, THEN leak the master secret. The
-// legacy handshake's traffic falls; the v4 AKE's does not.
+// legacy key schedule's traffic falls; the v4 AKE's does not.
 func testForwardSecrecy(t *testing.T) {
+	legacy := func(t *testing.T) *Recording {
+		rec, err := RecordLegacySession(master, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
 	cases := []struct {
 		name      string
-		protocol  uint8 // client protocol cap; 0 = current (v4)
-		recovered bool  // the offline attack must succeed
+		record    func(*testing.T) *Recording
+		recovered bool // the offline attack must succeed
 	}{
 		// The teeth: the attack must demonstrably WORK against the old
-		// SessionSecret-only derivation. If this case ever starts
-		// failing, the attacker model broke, not the old handshake.
-		{"v3 legacy session decrypts under leaked master", 3, true},
-		{"v4 AKE session stays sealed under leaked master", 0, false},
+		// nonce-only derivation. If this case ever starts failing, the
+		// attacker model broke, not the old handshake.
+		{"v3 legacy session decrypts under leaked master", legacy, true},
+		{"v4 AKE session stays sealed under leaked master", recordSession, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := recordSession(t, tc.protocol)
+			rec := tc.record(t)
 			plain, err := RecoverSession(master, rec)
 			if tc.recovered {
 				if err != nil {
@@ -170,7 +177,7 @@ func testKeyCompromise(t *testing.T) {
 func testReplay(t *testing.T) {
 	t.Run("recorded v4 session", func(t *testing.T) {
 		srv := newServer(t, shieldd.ServerConfig{})
-		rec := recordSession(t, 0)
+		rec := recordSession(t)
 
 		conn := dialRaw(t, srv)
 		if err := wire.WriteFrame(conn, rec.ClientFrames[0]); err != nil {
@@ -220,9 +227,10 @@ func testReplay(t *testing.T) {
 	})
 }
 
-// Downgrade: a MITM stripping the v4 handshake gets exactly the legacy
-// rollback window and nothing else — a pinned client refuses with the
-// typed error, and tampering inside the v4 exchange kills the handshake.
+// Downgrade: a MITM rewriting the handshake toward the legacy protocol
+// gets nothing — the server refuses a stripped HELLO with the typed
+// version error, the client refuses a legacy CHALLENGE, and tampering
+// inside the v4 exchange kills the handshake.
 func testDowngrade(t *testing.T) {
 	stripV4 := func(m wire.Message, f []byte) []byte {
 		if h, ok := m.(*wire.Hello); ok && h.Version >= 4 {
@@ -235,29 +243,15 @@ func testDowngrade(t *testing.T) {
 		return f
 	}
 
-	t.Run("stripped HELLO, pinned client", func(t *testing.T) {
+	t.Run("stripped HELLO", func(t *testing.T) {
 		srv := newServer(t, shieldd.ServerConfig{})
 		conn := mitm(t, srv, stripV4, nil)
-		_, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7, MinProtocol: 4})
+		_, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7})
 		if !errors.Is(err, shieldd.ErrDowngrade) {
-			t.Fatalf("pinned client under downgrade MITM: err = %v, want ErrDowngrade", err)
+			t.Fatalf("client under downgrade MITM: err = %v, want ErrDowngrade", err)
 		}
-	})
-
-	t.Run("stripped HELLO, unpinned client falls back", func(t *testing.T) {
-		// Without a MinProtocol pin the session completes at v3 — the
-		// documented rollback window that exists until every client sets
-		// the pin. This case keeps the fallback honest: downgrade is a
-		// policy choice, not an accident.
-		srv := newServer(t, shieldd.ServerConfig{})
-		conn := mitm(t, srv, stripV4, nil)
-		c, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7})
-		if err != nil {
-			t.Fatalf("unpinned client under downgrade MITM: %v", err)
-		}
-		defer c.Close()
-		if c.Version() != 3 {
-			t.Fatalf("negotiated v%d under a v3-stripping MITM, want v3", c.Version())
+		if n := srv.Status().TotalSessions; n != 0 {
+			t.Fatalf("server counted %d sessions for a stripped HELLO", n)
 		}
 	})
 
@@ -281,11 +275,23 @@ func testDowngrade(t *testing.T) {
 		}
 	})
 
-	t.Run("old server, pinned client", func(t *testing.T) {
-		srv := newServer(t, shieldd.ServerConfig{MaxProtocol: 3})
-		_, err := srv.Pipe(shieldd.SessionOptions{Seed: 7, MinProtocol: 4})
-		if !errors.Is(err, shieldd.ErrDowngrade) {
-			t.Fatalf("pinned client against a v3-capped server: err = %v, want ErrDowngrade", err)
+	t.Run("legacy CHALLENGE injected", func(t *testing.T) {
+		// The MITM answers for the server in the retired form, offering
+		// the nonce-only key schedule it could later break.
+		srv := newServer(t, shieldd.ServerConfig{})
+		toLegacy := func(m wire.Message, f []byte) []byte {
+			if ch, ok := m.(*wire.Challenge2); ok {
+				return legacyChallenge(ch.ServerNonce)
+			}
+			return f
+		}
+		conn := mitm(t, srv, nil, toLegacy)
+		if c, err := shieldd.NewClient(conn, master, shieldd.SessionOptions{Seed: 7}); err == nil {
+			c.Close()
+			t.Fatal("handshake completed over a legacy CHALLENGE")
+		}
+		if n := srv.Status().TotalSessions; n != 0 {
+			t.Fatalf("server counted %d sessions for a handshake answered in legacy form", n)
 		}
 	})
 }

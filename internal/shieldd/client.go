@@ -28,10 +28,12 @@ var ErrServerBusy = errors.New("shieldd: server busy")
 // retransmission schedule without completing. Match with errors.Is.
 var ErrHandshakeTimeout = errors.New("shieldd: handshake timed out")
 
-// ErrDowngrade reports that the server (or someone rewriting its
-// traffic) negotiated a protocol version below the client's
-// SessionOptions.MinProtocol floor. Match with errors.Is.
-var ErrDowngrade = errors.New("shieldd: protocol downgrade below MinProtocol")
+// ErrDowngrade reports that the handshake did not run at wire.Version:
+// the server refused the HELLO as an unsupported version, or acked
+// another version. Either an old server or an attacker rewriting the
+// handshake (say, relabelling HELLO as an older version) — the client
+// cannot tell which, and completes neither. Match with errors.Is.
+var ErrDowngrade = errors.New("shieldd: protocol downgrade")
 
 // busyError is one BUSY response, carrying the server's retry-after
 // hint; it unwraps to ErrServerBusy.
@@ -63,19 +65,6 @@ type SessionOptions struct {
 	// medium; EXCHANGE frames address implants by index (0 = primary).
 	ExtraIMDs int
 
-	// Protocol caps the wire version the client announces in HELLO
-	// (0 = the highest this build speaks, wire.Version). Setting 1
-	// forces a strict request/response v1 session — the compatibility
-	// mode old clients get automatically.
-	Protocol uint8
-	// MinProtocol, when nonzero, is the lowest negotiated version the
-	// client accepts: a handshake landing below it fails with
-	// ErrDowngrade instead of completing. By default (zero) the client
-	// follows the server down to v1 for compatibility — which also means
-	// an active attacker rewriting HELLOs can strip the v4 AKE; deploy
-	// MinProtocol=4 to pin forward secrecy once every server speaks v4
-	// (the TLS-style rollback rule; see DESIGN.md "Handshake v2").
-	MinProtocol uint8
 	// AutoReconnect makes a dialed client transparently re-dial and
 	// re-handshake when its connection has died (e.g. the server's idle
 	// reaper closed it) and no requests are in flight. On datagram
@@ -107,19 +96,15 @@ type SessionOptions struct {
 	// be awaiting responses before Go blocks (0 = defaultSendWindow,
 	// which matches the server's per-session in-flight window). Raising
 	// it past the server's window buys nothing — the excess queues
-	// server-side or, on v3 datagram sessions, risks stalling the
+	// server-side or, on datagram sessions, risks stalling the
 	// reorder buffer; see DESIGN.md "Selective repeat & streaming
 	// experiments".
 	Window int
 }
 
 func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
-	version := o.Protocol
-	if version == 0 || version > wire.Version {
-		version = wire.Version
-	}
 	h := &wire.Hello{
-		Version:   version,
+		Version:   wire.Version,
 		Nonce:     nonce,
 		Seed:      o.Seed,
 		Location:  uint8(o.Location),
@@ -140,93 +125,130 @@ func (o SessionOptions) hello(nonce [16]byte) *wire.Hello {
 	return h
 }
 
-// hsResult is one completed handshake: the session link, the negotiated
-// version and session ID, and — on v4 — the resumption state carried
-// into the next reconnect.
+// hsResult is one completed handshake: the session link, the session
+// ID, and the resumption state carried into the next reconnect.
 type hsResult struct {
 	link      *securelink.Link
-	version   uint8
 	sessionID uint64
 	ticket    []byte // fresh single-use ticket from the sealed ack
 	rms       []byte // resumption secret the ticket will resume with
 	resumed   bool   // this handshake resumed from a prior ticket
 }
 
-// resumeState carries the previous v4 session's ticket and resumption
+// resumeState carries the previous session's ticket and resumption
 // secret into the next handshake.
 type resumeState struct {
 	ticket []byte
 	rms    []byte
 }
 
-// clientAKE is the client half of a v4 handshake in flight: the
-// ephemeral key pair, the HELLO transcript, and the cached resumption
-// secret when the HELLO offered a ticket.
+// clientAKE is the client half of a handshake in flight: the HELLO and
+// its transcript bytes, the ephemeral key pair, the resumption secret
+// offered with a ticket, and — once a CHALLENGE2 has been accepted —
+// the session link and the next resumption secret.
 type clientAKE struct {
+	hello      *wire.Hello
 	eph        *securelink.Ephemeral
 	transcript []byte
-	rms        []byte
+	offered    []byte
+
+	link    *securelink.Link
+	rms     []byte
+	resumed bool
 }
 
-// newClientAKE equips hello for the v4 AKE (key share plus optional
-// resumption ticket) and returns the state needed to complete it.
-func newClientAKE(hello *wire.Hello, resume *resumeState) (*clientAKE, error) {
+// startHandshake builds the HELLO for a fresh session nonce, with the
+// client's key share and, when resume is offered, the resumption ticket.
+func startHandshake(opt SessionOptions, resume *resumeState) (*clientAKE, error) {
+	var nonce [16]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("shieldd: nonce: %w", err)
+	}
 	eph, err := securelink.NewEphemeral()
 	if err != nil {
 		return nil, fmt.Errorf("shieldd: ephemeral key: %w", err)
 	}
-	a := &clientAKE{eph: eph}
-	hello.KeyShare = eph.Public()
+	a := &clientAKE{hello: opt.hello(nonce), eph: eph}
+	a.hello.KeyShare = eph.Public()
 	if resume != nil && len(resume.ticket) > 0 && len(resume.rms) > 0 {
-		hello.Ticket = resume.ticket
-		a.rms = resume.rms
+		a.hello.Ticket = resume.ticket
+		a.offered = resume.rms
 	}
-	a.transcript = hello.TranscriptBytes()
+	a.transcript = a.hello.TranscriptBytes()
 	return a, nil
 }
 
-// complete mirrors the server's v4 key schedule against its CHALLENGE2
-// and returns the session link, the next resumption secret, and whether
-// the server resumed from the offered ticket. Any tampering with the
-// handshake messages desynchronizes the transcript here, so the sealed
-// HELLO-ACK that follows fails to open.
-func (a *clientAKE) complete(secret []byte, ch *wire.Challenge2) (link *securelink.Link, rms []byte, resumed bool, err error) {
+// accept mirrors the server's key schedule against its CHALLENGE2 and
+// arms the link the sealed HELLO-ACK opens under, with the transport's
+// receive window. Any tampering with the handshake messages
+// desynchronizes the transcript here, so the sealed HELLO-ACK that
+// follows fails to open. A duplicate CHALLENGE2 (the datagram server
+// re-answering a retransmitted HELLO) is byte-identical, so accepting it
+// again reproduces the same keys.
+func (a *clientAKE) accept(secret []byte, ch *wire.Challenge2, window int) error {
 	sched := securelink.NewHandshake(securelink.HandshakeLabelV4)
 	sched.MixHash(a.transcript)
 	sched.MixHash(ch.Encode())
 	sched.MixKey(secret)
 	if ch.Resumed {
-		if a.rms == nil {
-			return nil, nil, false, fmt.Errorf("shieldd: server resumed a session this client did not offer")
+		if a.offered == nil {
+			return fmt.Errorf("shieldd: server resumed a session this client did not offer")
 		}
-		sched.MixKey(a.rms)
+		sched.MixKey(a.offered)
 	} else {
-		dh, derr := a.eph.Shared(ch.KeyShare)
-		if derr != nil {
-			return nil, nil, false, fmt.Errorf("shieldd: server key share: %w", derr)
+		dh, err := a.eph.Shared(ch.KeyShare)
+		if err != nil {
+			return fmt.Errorf("shieldd: server key share: %w", err)
 		}
 		sched.MixKey(dh)
 	}
-	if _, link, err = securelink.Pair(sched.SessionSecret()); err != nil {
-		return nil, nil, false, err
+	_, link, err := securelink.Pair(sched.SessionSecret())
+	if err != nil {
+		return err
 	}
-	return link, sched.ResumptionSecret(), ch.Resumed, nil
+	link.SetWindow(window)
+	link.EnableRekey(sessionRekeyEvery)
+	a.link, a.rms, a.resumed = link, sched.ResumptionSecret(), ch.Resumed
+	return nil
 }
 
-// checkAck validates the negotiated version in a HELLO-ACK against the
-// announced version, the handshake form that actually ran, and the
-// client's MinProtocol floor.
-func checkAck(ack *wire.HelloAck, announced, minProtocol uint8, akeDone bool) error {
-	if ack.Version < wire.MinVersion || ack.Version > announced {
-		return fmt.Errorf("shieldd: server negotiated unsupported version %d", ack.Version)
+// openAck opens and decodes a sealed HELLO-ACK under the accepted link.
+func (a *clientAKE) openAck(sealed []byte) (*wire.HelloAck, error) {
+	plain, err := a.link.Open(sealed)
+	if err != nil {
+		return nil, fmt.Errorf("shieldd: handshake: %w", err)
 	}
-	if akeDone != (ack.Version >= 4) {
-		return fmt.Errorf("shieldd: server acked version %d but ran the wrong handshake form", ack.Version)
+	m, err := wire.Decode(plain)
+	if err != nil {
+		return nil, fmt.Errorf("shieldd: handshake: %w", err)
 	}
-	if ack.Version < minProtocol {
-		return fmt.Errorf("%w: server negotiated v%d", ErrDowngrade, ack.Version)
+	ack, ok := m.(*wire.HelloAck)
+	if !ok {
+		return nil, fmt.Errorf("shieldd: unexpected handshake reply %T", m)
 	}
-	return nil
+	return ack, nil
+}
+
+// finish checks the HELLO-ACK's version and returns the completed
+// handshake. The version sits inside the sealed ack, so only a server
+// holding the session keys could have chosen it.
+func (a *clientAKE) finish(ack *wire.HelloAck) (hsResult, error) {
+	if ack.Version != wire.Version {
+		return hsResult{}, fmt.Errorf("%w: server acked wire v%d", ErrDowngrade, ack.Version)
+	}
+	return hsResult{link: a.link, sessionID: ack.SessionID,
+		ticket: ack.Ticket, rms: a.rms, resumed: a.resumed}, nil
+}
+
+// refused maps a plaintext handshake Error to the client's error. An
+// unsupported-version refusal means the server never saw this client's
+// HELLO intact — an old server, or a MITM that rewrote it — and
+// surfaces as ErrDowngrade.
+func refused(e *wire.Error) error {
+	if e.Code == wire.CodeUnsupportedVersion {
+		return fmt.Errorf("%w: %w", ErrDowngrade, e)
+	}
+	return e
 }
 
 // Call is one in-flight request on a pipelined session. Wait on Done (or
@@ -239,10 +261,9 @@ type Call struct {
 	// failure) arrives. Buffered: the reader never blocks on it.
 	Done chan *Call
 	// OnProgress, when non-nil, receives streamed EXPERIMENT-PROGRESS
-	// frames for this call (v3 sessions only; never invoked on v2, where
-	// the experiment answers in a single frame). Called from the
-	// client's read loop — it must not block and must not issue requests
-	// on the same client synchronously.
+	// frames for this call. Called from the client's read loop — it
+	// must not block and must not issue requests on the same client
+	// synchronously.
 	OnProgress func(*wire.ExperimentProgress)
 
 	// release returns the call's send-window slot; installed at submit
@@ -265,15 +286,11 @@ func (call *Call) Wait() (wire.Message, error) {
 	return call.Resp, call.Err
 }
 
-// Client is one end of a shieldd session.
-//
-// On a v2 session the client is a pipelining multiplexer: Go submits a
-// request without waiting, requests are matched to responses by request
-// ID, and any number of goroutines may issue requests concurrently (the
-// server bounds in-flight work per session; beyond that, transport
-// backpressure applies). On a v1 session (negotiated with an old server,
-// or forced with SessionOptions.Protocol=1) requests are serialized into
-// strict request/response round trips.
+// Client is one end of a shieldd session: a pipelining multiplexer. Go
+// submits a request without waiting, requests are matched to responses
+// by request ID, and any number of goroutines may issue requests
+// concurrently (the server bounds in-flight work per session; beyond
+// that, transport backpressure applies).
 type Client struct {
 	opt    SessionOptions
 	secret []byte
@@ -295,8 +312,7 @@ type Client struct {
 	// full window).
 	window chan struct{}
 
-	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received
-	// (v3 sessions).
+	// progressFrames counts streamed EXPERIMENT-PROGRESS frames received.
 	progressFrames atomic.Uint64
 
 	mu        sync.Mutex // guards tc/link swap, pending, nextID, err
@@ -304,12 +320,11 @@ type Client struct {
 	reconnMu  sync.Mutex // serializes reconnect attempts (never held with mu)
 	tc        transportConn
 	link      *securelink.Link
-	version   uint8
 	sessionID uint64
-	// ticket and rms hold the v4 resumption state from the latest
+	// ticket and rms hold the resumption state from the latest
 	// handshake; reconnect offers them so a reap-then-reconnect
 	// completes in one round trip with forward-secret keys and no new
-	// DH. Empty on pre-v4 sessions.
+	// DH.
 	ticket  []byte
 	rms     []byte
 	resumed bool   // the latest handshake resumed from a ticket
@@ -318,8 +333,8 @@ type Client struct {
 	pending map[uint64]*Call
 	// ackCum is the highest request ID through which every response has
 	// been delivered; ackAbove holds delivered response IDs above a gap.
-	// Sent in every v3 request envelope so the server can prune its
-	// dedup ledger.
+	// Sent in every request envelope so the server can prune its dedup
+	// ledger.
 	ackCum   uint64
 	ackAbove map[uint64]struct{}
 	err      error // sticky transport error
@@ -358,13 +373,18 @@ func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error
 	if err != nil {
 		return nil, err
 	}
-	tc := &streamConn{c: conn}
-	c := &Client{
+	c := newClient(&streamConn{c: conn}, secret, opt, hs)
+	go c.readLoop(c.tc, hs.link)
+	return c, nil
+}
+
+// newClient builds a client around a completed handshake on tc.
+func newClient(tc transportConn, secret []byte, opt SessionOptions, hs hsResult) *Client {
+	return &Client{
 		opt:       opt,
 		secret:    secret,
 		tc:        tc,
 		link:      hs.link,
-		version:   hs.version,
 		sessionID: hs.sessionID,
 		ticket:    hs.ticket,
 		rms:       hs.rms,
@@ -375,10 +395,6 @@ func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error
 		window:    make(chan struct{}, opt.sendWindow()),
 		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
-	if hs.version >= 2 {
-		go c.readLoop(tc, hs.link, hs.version)
-	}
-	return c, nil
 }
 
 // DialUDP opens a datagram session with a shieldd server's UDP
@@ -413,72 +429,40 @@ func DialUDP(addr string, secret []byte, opt SessionOptions) (*Client, error) {
 // NewPacketClient runs the datagram session handshake over an
 // established packet socket (UDP, or an in-process faultnet endpoint)
 // against the server at peer. The client becomes the socket's sole
-// reader. Datagram sessions are wire v2 only (the reliability layer
-// needs request IDs), so SessionOptions.Protocol must be 0 or ≥ 2, and
-// every request is tracked by the retransmit layer: loss is retried
-// transparently and surfaced in TransportStats rather than as errors,
-// until MaxRetries is exhausted.
+// reader, and every request is tracked by the retransmit layer: loss is
+// retried transparently and surfaced in TransportStats rather than as
+// errors, until MaxRetries is exhausted.
 func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions) (*Client, error) {
-	if opt.Protocol == 1 {
-		return nil, fmt.Errorf("shieldd: datagram transport requires wire protocol v2")
-	}
 	dc := dgram.NewConn(pc, peer)
 	hs, err := packetHandshake(dc, secret, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	tc := &packetTC{fc: dc}
-	c := &Client{
-		opt:       opt,
-		secret:    secret,
-		tc:        tc,
-		link:      hs.link,
-		version:   hs.version,
-		sessionID: hs.sessionID,
-		ticket:    hs.ticket,
-		rms:       hs.rms,
-		resumed:   hs.resumed,
-		nextID:    1,
-		pending:   make(map[uint64]*Call),
-		ackAbove:  make(map[uint64]struct{}),
-		window:    make(chan struct{}, opt.sendWindow()),
-		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
-	}
+	c := newClient(&packetTC{fc: dc}, secret, opt, hs)
 	c.redialPacket = opt.RedialPacket
 	c.retry = newRetrier(c, opt.RetryTimeout, opt.MaxRetries)
 	go c.retry.run()
-	go c.readLoop(tc, hs.link, hs.version)
+	go c.readLoop(c.tc, hs.link)
 	return c, nil
 }
 
-// packetHandshake performs HELLO → COOKIE → HELLO(cookie) → CHALLENGE →
-// HELLO-ACK over a datagram connection, retransmitting the HELLO until
+// packetHandshake performs HELLO → COOKIE → HELLO(cookie) → CHALLENGE2
+// → HELLO-ACK over a datagram connection, retransmitting the HELLO until
 // the sealed ACK arrives. The first HELLO carries no cookie, so the
 // server's stateless admission gate answers it with one; echoing it
 // back proves this client receives at its claimed source address, and
 // only then does the server commit any handshake state. A duplicate
-// CHALLENGE (the server re-answering a retransmitted HELLO with the
+// CHALLENGE2 (the server re-answering a retransmitted HELLO with the
 // same nonce) just re-derives the same keys; an undecryptable datagram
 // is dropped, never fatal. BUSY refusals are honored with deterministic
 // seeded jittered exponential backoff before re-sending.
 func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
 	var zero hsResult
-	var nonce [16]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return zero, fmt.Errorf("shieldd: nonce: %w", err)
+	ake, err := startHandshake(opt, resume)
+	if err != nil {
+		return zero, err
 	}
-	hello := opt.hello(nonce)
-	if opt.MinProtocol > hello.Version {
-		return zero, fmt.Errorf("%w: MinProtocol %d exceeds announced version %d",
-			ErrDowngrade, opt.MinProtocol, hello.Version)
-	}
-	var ake *clientAKE
-	if hello.Version >= 4 {
-		var err error
-		if ake, err = newClientAKE(hello, resume); err != nil {
-			return zero, err
-		}
-	}
+	hello := ake.hello
 	helloEnc := hello.Encode()
 	rto := opt.RetryTimeout
 	if rto <= 0 {
@@ -491,9 +475,6 @@ func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *
 	backoff := stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-handshake-backoff"))
 	busies := 0
 
-	var link *securelink.Link
-	var rms []byte
-	var resumed, akeDone bool
 	for attempt := 0; attempt <= tries; attempt++ {
 		if err := dc.WriteFrame(dgram.KindHandshake, helloEnc); err != nil {
 			return zero, err
@@ -523,15 +504,15 @@ func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *
 				}
 				switch m := msg.(type) {
 				case *wire.Error:
-					return zero, m
+					return zero, refused(m)
 				case *wire.Cookie:
 					// The stateless admission gate's round trip: echo the
 					// cookie in the HELLO and resend immediately. This
 					// costs no retry attempt — the gate answers every
 					// cookie-less HELLO, so the reply races only loss.
-					// The cookie is deliberately outside the v4 transcript
-					// (Hello.TranscriptBytes), so attaching it here does not
-					// desynchronize an AKE already offered in the first HELLO.
+					// The cookie is deliberately outside the handshake
+					// transcript (Hello.TranscriptBytes), so attaching it
+					// here does not desynchronize the key schedule.
 					hello.Cookie = m.Cookie
 					helloEnc = hello.Encode()
 					if err := dc.WriteFrame(dgram.KindHandshake, helloEnc); err != nil {
@@ -559,58 +540,21 @@ func packetHandshake(dc *dgram.Conn, secret []byte, opt SessionOptions, resume *
 					}
 					_ = dc.SetReadDeadline(time.Now().Add(wait))
 				case *wire.Challenge2:
-					if ake == nil {
-						continue // v4 challenge to a pre-v4 HELLO: noise
-					}
-					// A duplicate CHALLENGE2 (the server re-answering a
-					// retransmitted HELLO) is byte-identical — it entered the
-					// transcript — so re-deriving just reproduces the keys.
-					if link, rms, resumed, err = ake.complete(secret, m); err != nil {
+					if err := ake.accept(secret, m, dgramWindow); err != nil {
 						return zero, err
 					}
-					akeDone = true
-					link.SetWindow(dgramWindow)
-					link.EnableRekey(sessionRekeyEvery)
-				case *wire.Challenge:
-					if opt.MinProtocol >= 4 {
-						return zero, fmt.Errorf("%w: server offered the legacy challenge", ErrDowngrade)
-					}
-					nonces := append(append([]byte(nil), nonce[:]...), m.ServerNonce[:]...)
-					_, link, err = securelink.Pair(securelink.SessionSecret(secret, nonces))
-					if err != nil {
-						return zero, err
-					}
-					akeDone = false
-					rms, resumed = nil, false
-					link.SetWindow(dgramWindow)
-					link.EnableRekey(sessionRekeyEvery)
 				}
 				continue
 			}
-			if link == nil {
+			if ake.link == nil {
 				continue // sealed frame before any challenge: stale noise
 			}
-			plain, oerr := link.Open(payload)
-			if oerr != nil {
+			ack, err := ake.openAck(payload)
+			if err != nil {
 				continue // lost/duplicated ACK copy; keep waiting
 			}
-			m, derr := wire.Decode(plain)
-			if derr != nil {
-				continue
-			}
-			ack, ok := m.(*wire.HelloAck)
-			if !ok {
-				continue
-			}
-			if ack.Version < 2 {
-				return zero, fmt.Errorf("shieldd: server negotiated unsupported version %d", ack.Version)
-			}
-			if err := checkAck(ack, hello.Version, opt.MinProtocol, akeDone); err != nil {
-				return zero, err
-			}
 			_ = dc.SetReadDeadline(time.Time{})
-			return hsResult{link: link, version: ack.Version, sessionID: ack.SessionID,
-				ticket: ack.Ticket, rms: rms, resumed: resumed}, nil
+			return ake.finish(ack)
 		}
 	}
 	return zero, fmt.Errorf("%w after %d attempts", ErrHandshakeTimeout, tries+1)
@@ -622,34 +566,20 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout() || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// handshake performs HELLO → CHALLENGE/CHALLENGE2 → sealed HELLO-ACK
-// over conn. A v4 announcement runs the AKE (or ticket resumption when
-// resume is offered); a legacy CHALLENGE reply falls back to the
-// SessionSecret derivation unless MinProtocol forbids it.
+// handshake performs HELLO → CHALLENGE2 → sealed HELLO-ACK over conn,
+// running the full AKE or, when resume is offered, ticket resumption.
 func handshake(conn net.Conn, secret []byte, opt SessionOptions, resume *resumeState) (hsResult, error) {
 	var zero hsResult
-	var nonce [16]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return zero, fmt.Errorf("shieldd: nonce: %w", err)
+	ake, err := startHandshake(opt, resume)
+	if err != nil {
+		return zero, err
 	}
-	hello := opt.hello(nonce)
-	if opt.MinProtocol > hello.Version {
-		return zero, fmt.Errorf("%w: MinProtocol %d exceeds announced version %d",
-			ErrDowngrade, opt.MinProtocol, hello.Version)
-	}
-	var ake *clientAKE
-	if hello.Version >= 4 {
-		var err error
-		if ake, err = newClientAKE(hello, resume); err != nil {
-			return zero, err
-		}
-	}
-	if err := wire.WriteFrame(conn, hello.Encode()); err != nil {
+	if err := wire.WriteFrame(conn, ake.hello.Encode()); err != nil {
 		return zero, err
 	}
 
-	// The server answers a valid HELLO with a plaintext challenge (its
-	// half of the session key agreement), or a plaintext Error refusal.
+	// The server answers a valid HELLO with a plaintext CHALLENGE2 (its
+	// half of the key exchange), or a plaintext Error refusal.
 	raw, err := wire.ReadFrame(conn)
 	if err != nil {
 		return zero, fmt.Errorf("shieldd: handshake read: %w", err)
@@ -658,58 +588,26 @@ func handshake(conn net.Conn, secret []byte, opt SessionOptions, resume *resumeS
 	if err != nil {
 		return zero, fmt.Errorf("shieldd: handshake: %w", err)
 	}
-	var link *securelink.Link
-	var rms []byte
-	var resumed, akeDone bool
 	switch ch := first.(type) {
 	case *wire.Error:
-		return zero, ch
+		return zero, refused(ch)
 	case *wire.Challenge2:
-		if ake == nil {
-			return zero, fmt.Errorf("shieldd: v4 challenge to a v%d HELLO", hello.Version)
-		}
-		if link, rms, resumed, err = ake.complete(secret, ch); err != nil {
-			return zero, err
-		}
-		akeDone = true
-	case *wire.Challenge:
-		// The legacy pre-v4 challenge: an old server, or an attacker
-		// rewriting the handshake. Indistinguishable by design — the
-		// MinProtocol floor is what rules the second reading out.
-		if opt.MinProtocol >= 4 {
-			return zero, fmt.Errorf("%w: server offered the legacy challenge", ErrDowngrade)
-		}
-		nonces := append(append([]byte(nil), nonce[:]...), ch.ServerNonce[:]...)
-		if _, link, err = securelink.Pair(securelink.SessionSecret(secret, nonces)); err != nil {
+		if err := ake.accept(secret, ch, sessionWindow); err != nil {
 			return zero, err
 		}
 	default:
 		return zero, fmt.Errorf("shieldd: unexpected handshake reply %T", first)
 	}
-	link.SetWindow(sessionWindow)
-	link.EnableRekey(sessionRekeyEvery)
 
 	raw, err = wire.ReadFrame(conn)
 	if err != nil {
 		return zero, fmt.Errorf("shieldd: handshake read: %w", err)
 	}
-	plain, err := link.Open(raw)
+	ack, err := ake.openAck(raw)
 	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake: %w", err)
-	}
-	m, err := wire.Decode(plain)
-	if err != nil {
-		return zero, fmt.Errorf("shieldd: handshake: %w", err)
-	}
-	ack, ok := m.(*wire.HelloAck)
-	if !ok {
-		return zero, fmt.Errorf("shieldd: unexpected handshake reply %T", m)
-	}
-	if err := checkAck(ack, hello.Version, opt.MinProtocol, akeDone); err != nil {
 		return zero, err
 	}
-	return hsResult{link: link, version: ack.Version, sessionID: ack.SessionID,
-		ticket: ack.Ticket, rms: rms, resumed: resumed}, nil
+	return ake.finish(ack)
 }
 
 // SessionID returns the server-assigned session identifier (of the most
@@ -720,13 +618,6 @@ func (c *Client) SessionID() uint64 {
 	return c.sessionID
 }
 
-// Version returns the negotiated wire protocol version.
-func (c *Client) Version() uint8 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
-}
-
 // Reconnects returns how many times the client has transparently
 // re-dialed and re-handshaked.
 func (c *Client) Reconnects() uint64 {
@@ -735,7 +626,7 @@ func (c *Client) Reconnects() uint64 {
 	return c.reconns
 }
 
-// Resumed reports whether the most recent handshake resumed from a v4
+// Resumed reports whether the most recent handshake resumed from a
 // ticket (one round trip, no fresh DH) rather than running the full AKE.
 func (c *Client) Resumed() bool {
 	c.mu.Lock()
@@ -751,19 +642,19 @@ func (c *Client) Resumes() uint64 {
 	return c.resumes
 }
 
-// readLoop is the v2/v3 demultiplexer: the sole reader of the transport,
+// readLoop is the session demultiplexer: the sole reader of the transport,
 // matching responses to pending calls by request ID. It exits when the
 // transport dies, failing every pending call. On an unreliable
 // transport, frames that fail to open or decode are dropped datagrams
 // (duplicated responses die on the securelink window, corruption dies
 // on the GCM tag) — only a transport-level read error is fatal.
 //
-// On v3 sessions it additionally routes EnvPartial frames (streamed
-// EXPERIMENT-PROGRESS) to the call's OnProgress callback without
-// completing the call, refreshing its retransmit schedule — the partial
-// proves the server is alive and working — and feeds final ordered
-// responses to the retrier's fast-retransmit detector.
-func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8) {
+// It routes EnvPartial frames (streamed EXPERIMENT-PROGRESS) to the
+// call's OnProgress callback without completing the call, refreshing its
+// retransmit schedule — the partial proves the server is alive and
+// working — and feeds final ordered responses to the retrier's
+// fast-retransmit detector.
+func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 	lossy := tc.unreliable()
 	for {
 		raw, hs, err := tc.readFrame()
@@ -782,16 +673,7 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 			c.fail(tc, err)
 			return
 		}
-		var (
-			id    uint64
-			flags uint8
-			msg   wire.Message
-		)
-		if version >= 3 {
-			id, flags, _, msg, err = wire.DecodeEnvelopeV3(plain)
-		} else {
-			id, msg, err = wire.DecodeEnvelope(plain)
-		}
+		id, flags, _, msg, err := wire.DecodeEnvelopeV3(plain)
 		if err != nil {
 			if lossy {
 				continue
@@ -819,13 +701,11 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 		c.mu.Lock()
 		call := c.pending[id]
 		delete(c.pending, id)
-		if version >= 3 {
-			c.recordDelivered(id)
-		}
+		c.recordDelivered(id)
 		c.mu.Unlock()
 		if c.retry != nil {
 			c.retry.ack(id)
-			if version >= 3 && call != nil && orderedKind(call.Req.Kind()) {
+			if call != nil && orderedKind(call.Req.Kind()) {
 				// A final ordered response: ordered responses arrive in
 				// ID order, so any ordered request still pending below
 				// this ID has lost a datagram — count the skip toward
@@ -850,7 +730,7 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link, version uint8
 }
 
 // recordDelivered advances the cumulative-delivery cursor over a freshly
-// delivered response ID. Callers hold c.mu. The cursor rides in every v3
+// delivered response ID. Callers hold c.mu. The cursor rides in every
 // request envelope, letting the server prune its dedup ledger.
 func (c *Client) recordDelivered(id uint64) {
 	if id <= c.ackCum {
@@ -1029,7 +909,7 @@ func (c *Client) reconnect() error {
 	}
 	old := c.tc
 	c.tc, c.link = tc, hs.link
-	c.version, c.sessionID = hs.version, hs.sessionID
+	c.sessionID = hs.sessionID
 	c.ticket, c.rms = hs.ticket, hs.rms
 	c.resumed = hs.resumed
 	if hs.resumed {
@@ -1045,19 +925,16 @@ func (c *Client) reconnect() error {
 	c.reconns++
 	c.mu.Unlock()
 	old.close()
-	if hs.version >= 2 {
-		go c.readLoop(tc, hs.link, hs.version)
-	}
+	go c.readLoop(tc, hs.link)
 	return nil
 }
 
 // Go submits a request and returns immediately with the in-flight Call.
-// On a v2/v3 session requests pipeline: many calls may be outstanding
-// and the server may complete non-scenario requests (PING, STATUS,
-// METRICS, EXPERIMENT) out of order; scenario requests complete in
-// submission order. Go blocks while the client-side send window
-// (SessionOptions.Window) is full, and on a v1 session for the whole
-// round trip (the transport has no request IDs to pipeline with).
+// Requests pipeline: many calls may be outstanding and the server may
+// complete non-scenario requests (PING, STATUS, METRICS, EXPERIMENT)
+// out of order; scenario requests complete in submission order. Go
+// blocks while the client-side send window (SessionOptions.Window) is
+// full.
 func (c *Client) Go(req wire.Message) *Call {
 	call := &Call{Req: req, Done: make(chan *Call, 1)}
 	c.submit(call)
@@ -1071,7 +948,7 @@ func (c *Client) submit(call *Call) *Call {
 	req := call.Req
 
 	// Claim a send-window slot before allocating an ID, so request IDs
-	// hit the wire densely and in order — on v3 the server's reorder
+	// hit the wire densely and in order — the server's reorder
 	// buffer is sized to the same window, and a sparser ID stream would
 	// let the client overrun it. BYE bypasses the window: Close must be
 	// able to end a session whose window is full of stuck calls.
@@ -1103,12 +980,6 @@ func (c *Client) submit(call *Call) *Call {
 			return call
 		}
 	}
-	if c.version == 1 {
-		tc, link := c.tc, c.link
-		c.mu.Unlock()
-		c.roundTripV1(call, tc, link)
-		return call
-	}
 	c.mu.Unlock()
 
 	// Submit, with one transparent retry through reconnect: if the
@@ -1129,22 +1000,16 @@ func (c *Client) submit(call *Call) *Call {
 			return call
 		}
 		tc, link := c.tc, c.link
-		version := c.version
 		id := c.nextID
 		c.nextID++
 		c.pending[id] = call
 		cum := c.ackCum
 		c.mu.Unlock()
 
-		var env []byte
-		if version >= 3 {
-			// The cumulative-delivery cursor rides in every request so the
-			// server can prune its dedup ledger. Retransmits reuse the
-			// envelope verbatim — a stale cursor only delays pruning.
-			env = wire.EncodeEnvelopeV3(id, 0, cum, req)
-		} else {
-			env = wire.EncodeEnvelope(id, req)
-		}
+		// The cumulative-delivery cursor rides in every request so the
+		// server can prune its dedup ledger. Retransmits reuse the
+		// envelope verbatim — a stale cursor only delays pruning.
+		env := wire.EncodeEnvelopeV3(id, 0, cum, req)
 		// Seal+write as one unit so frames hit the transport in seq order.
 		c.writeMu.Lock()
 		err := tc.writeFrame(link.Seal(env))
@@ -1157,7 +1022,7 @@ func (c *Client) submit(call *Call) *Call {
 			// bursts) — the retry schedule re-sends it, and if the socket
 			// is truly dead the retries exhaust into a timeout. Only a
 			// closed socket poisons the session, via the readLoop.
-			c.retry.track(id, env, version >= 3 && orderedKind(req.Kind()))
+			c.retry.track(id, env, orderedKind(req.Kind()))
 			return call
 		}
 		if err == nil {
@@ -1178,47 +1043,6 @@ func (c *Client) submit(call *Call) *Call {
 		call.finish(nil, err)
 		return call
 	}
-}
-
-// roundTripV1 performs one strict request/response exchange. writeMu
-// doubles as the round-trip lock: v1 has no request IDs, so the response
-// on the wire always answers the most recent request. v1 only ever runs
-// on stream transports.
-func (c *Client) roundTripV1(call *Call, tc transportConn, link *securelink.Link) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := tc.writeFrame(link.Seal(call.Req.Encode())); err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	raw, _, err := tc.readFrame()
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	plain, err := link.Open(raw)
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	m, err := wire.Decode(plain)
-	if err != nil {
-		c.fail(tc, err)
-		call.finish(nil, err)
-		return
-	}
-	if e, ok := m.(*wire.Error); ok {
-		call.finish(nil, e)
-		return
-	}
-	if b, ok := m.(*wire.Busy); ok {
-		call.finish(nil, &busyError{retryAfter: time.Duration(b.RetryAfterMillis) * time.Millisecond})
-		return
-	}
-	call.finish(m, nil)
 }
 
 // roundTrip submits a request and waits for its response. A BUSY-shed
@@ -1320,10 +1144,8 @@ func (c *Client) Experiment(req wire.ExperimentReq) (string, error) {
 
 // ExperimentStream runs a registry experiment server-side, invoking
 // onProgress for each streamed EXPERIMENT-PROGRESS frame while it runs,
-// and returns the rendered table/figure. Progress streaming requires a
-// v3 session; on a v2 session the experiment still runs and answers in
-// one frame, and onProgress is simply never called. onProgress runs on
-// the client's read loop: it must be fast and must not call back into
+// and returns the rendered table/figure. onProgress runs on the
+// client's read loop: it must be fast and must not call back into
 // the client synchronously. A BUSY-shed request is retried like every
 // other call; progress restarts from zero on the retry.
 func (c *Client) ExperimentStream(req wire.ExperimentReq, onProgress func(*wire.ExperimentProgress)) (string, error) {
@@ -1362,8 +1184,8 @@ func (c *Client) Status() (*wire.StatusResp, error) {
 	return resp, nil
 }
 
-// Ping sends a keepalive probe and verifies the echoed token. On a v2
-// session the server answers from its reader fast path, ahead of any
+// Ping sends a keepalive probe and verifies the echoed token. The
+// server answers from its reader fast path, ahead of any
 // queued scenario work, so Ping also resets the idle-reap clock while
 // long requests run.
 func (c *Client) Ping() error {
@@ -1408,11 +1230,11 @@ func (c *Client) Metrics() (*wire.MetricsResp, error) {
 	return resp, nil
 }
 
-// Close ends the session with a BYE and closes the transport. On a v2+
-// session the server drains every in-flight request before answering the
-// BYE, so pending calls complete rather than die. On v3 the BYE is
-// sequenced after every earlier request, so Close refuses new
-// submissions from the moment it runs — the BYE must hold the session's
+// Close ends the session with a BYE and closes the transport. The
+// server drains every in-flight request before answering the BYE, so
+// pending calls complete rather than die. The BYE is sequenced after
+// every earlier request, so Close refuses new submissions from the
+// moment it runs — the BYE must hold the session's
 // highest request ID, or the server would discard requests above it.
 func (c *Client) Close() error {
 	c.mu.Lock()

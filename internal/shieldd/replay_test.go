@@ -132,26 +132,3 @@ func TestServerNonceIsFresh(t *testing.T) {
 		t.Fatal("server reused its ephemeral key share for identical HELLOs")
 	}
 }
-
-// A pre-v4 client still gets the legacy Challenge (and its fresh nonce).
-func TestServerLegacyChallenge(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{})
-	hello := (&wire.Hello{Version: 3, Seed: 1}).Encode()
-	cEnd, sEnd := net.Pipe()
-	go srv.ServeConn(sEnd)
-	defer cEnd.Close()
-	if err := wire.WriteFrame(cEnd, hello); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := wire.ReadFrame(cEnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wire.Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.(*wire.Challenge); !ok {
-		t.Fatalf("first server frame for a v3 HELLO is %T, want Challenge", m)
-	}
-}

@@ -7,8 +7,9 @@ import (
 )
 
 // resequencer restores request-ID order for the scenario-ordered request
-// kinds (EXCHANGE, BATCH-EXCHANGE, ATTACK-TRIAL, BYE) on sessions whose
-// transport can reorder or lose datagrams. The deterministic result
+// kinds (EXCHANGE, BATCH-EXCHANGE, ATTACK-TRIAL, BYE); on a datagram
+// transport arrivals can be reordered or lost, on a stream they never
+// are and it only advances its cursor. The deterministic result
 // contract is (seed, request sequence) → results, and the request
 // sequence is defined by the client's ID assignment — not by arrival
 // order. The reader feeds every freshly claimed ID through the

@@ -18,32 +18,25 @@
 // did before — the same determinism contract as the PR 1 parallel
 // experiment runner, extended to a network service.
 //
-// Four protocol versions are served, negotiated in HELLO:
+// One wire protocol is served (wire.Version). A session multiplexes
+// over one connection: every sealed frame carries a request ID, the
+// client pipelines requests, and the server completes them out of order
+// under a bounded in-flight window. Scenario-mutating requests
+// (EXCHANGE, BATCH-EXCHANGE, ATTACK) are executed strictly in request-ID
+// order by a per-session executor — a resequencer buffers arrivals above
+// a loss-induced gap, so one lost datagram delays only itself, and the
+// deterministic (seed, request sequence) → results contract holds under
+// pipelining — while PING, STATUS, STATUS-METRICS, and EXPERIMENT
+// requests complete independently and may overtake them; EXPERIMENT
+// requests stream incremental EXPERIMENT-PROGRESS frames while they run.
+// See DESIGN.md "Selective repeat & streaming experiments".
 //
-//   - v1 is strict request/response: one request in flight, answered
-//     before the next is read.
-//   - v2 multiplexes a session over one connection: every sealed frame
-//     carries a request ID, the client pipelines requests, and the server
-//     completes them out of order under a bounded in-flight window.
-//     Scenario-mutating requests (EXCHANGE, BATCH-EXCHANGE, ATTACK) are
-//     executed strictly in arrival order by a per-session executor — that
-//     is what keeps the deterministic (seed, request sequence) → results
-//     contract intact under pipelining — while PING, STATUS,
-//     STATUS-METRICS, and EXPERIMENT requests complete independently and
-//     may overtake them.
-//   - v3 keeps the v2 shape but hardens it for pipelining over lossy
-//     datagram transports: envelopes carry flags and a cumulative-progress
-//     field, scenario-mutating requests are executed in request-ID order
-//     (a resequencer buffers arrivals above a loss-induced gap, so one
-//     lost datagram delays only itself, not the session), and EXPERIMENT
-//     requests stream incremental EXPERIMENT-PROGRESS frames while they
-//     run. See DESIGN.md "Selective repeat & streaming experiments".
-//   - v4 keeps the v3 envelope and replaces the nonce-only PSK handshake
-//     with a forward-secret X25519+PSK key exchange bound to the handshake
-//     transcript (securelink.Handshake), and mints a single-use resumption
-//     ticket with every session; a reconnecting client redeems it to skip
-//     the key exchange and, from its issuing address, the datagram cookie
-//     round. See DESIGN.md "Handshake v2 (wire v4)".
+// The handshake is a forward-secret X25519+PSK key exchange bound to the
+// handshake transcript (securelink.Handshake), and every session mints a
+// single-use resumption ticket; a reconnecting client redeems it to skip
+// the key exchange and, from its issuing address, the datagram cookie
+// round. A HELLO announcing an older version is refused with a plaintext
+// CodeUnsupportedVersion error. See DESIGN.md "Handshake (wire v4)".
 package shieldd
 
 import (
@@ -77,10 +70,9 @@ const (
 	// sessions use the larger dgramWindow (transport.go), where
 	// reordering is real.
 	sessionWindow = 8
-	// maxHelloFrame bounds the plaintext HELLO (~50 bytes encoded for
-	// v1–v3; a v4 HELLO adds a 32-byte key share and an optional ~100-byte
-	// resumption ticket); an unauthenticated peer cannot make the server
-	// allocate a larger buffer.
+	// maxHelloFrame bounds the plaintext HELLO (~50 bytes of fixed fields,
+	// a 32-byte key share and an optional ~100-byte resumption ticket); an
+	// unauthenticated peer cannot make the server allocate a larger buffer.
 	maxHelloFrame = 512
 	// handshakeTimeout bounds how long an unauthenticated connection may
 	// hold a goroutine before sending its HELLO.
@@ -93,7 +85,7 @@ const (
 	// defaultBusyRetryAfter is the retry-after hint carried in BUSY
 	// responses when the config does not set one.
 	defaultBusyRetryAfter = 250 * time.Millisecond
-	// defaultTicketLifetime bounds v4 resumption tickets when the config
+	// defaultTicketLifetime bounds resumption tickets when the config
 	// does not set one: long enough to resume after an idle reap, short
 	// enough that a ticket is not a durable capability. The ticket
 	// sealing key rotates on the same period, so any unexpired ticket is
@@ -119,7 +111,7 @@ type ServerConfig struct {
 	// PoolPerShape bounds idle scenarios retained per scenario shape.
 	// Default 16.
 	PoolPerShape int
-	// InFlightPerSession bounds how many pipelined v2 requests one
+	// InFlightPerSession bounds how many pipelined requests one
 	// session may have outstanding; further frames are not read until a
 	// slot frees (transport backpressure). Default 16.
 	InFlightPerSession int
@@ -153,11 +145,7 @@ type ServerConfig struct {
 	// BusyRetryAfter is the retry-after hint carried in BUSY responses.
 	// Default 250ms.
 	BusyRetryAfter time.Duration
-	// MaxProtocol, when nonzero, caps the negotiated wire protocol
-	// version below wire.Version (staged rollouts, interop testing).
-	// Zero serves up to wire.Version.
-	MaxProtocol uint8
-	// TicketLifetime bounds how long a v4 resumption ticket stays
+	// TicketLifetime bounds how long a resumption ticket stays
 	// redeemable. Default 5m.
 	TicketLifetime time.Duration
 }
@@ -177,9 +165,9 @@ type Server struct {
 	// cookie, so a spoofed-source HELLO flood costs the server one HMAC
 	// and one small reply datagram per packet and zero state.
 	cookies *securelink.CookieSource
-	// tickets mints and redeems the single-use v4 resumption tickets: a
+	// tickets mints and redeems the single-use resumption tickets: a
 	// resumption secret sealed under a rotating server key, handed out in
-	// every v4 HELLO-ACK and redeemable once for a one-round-trip
+	// every HELLO-ACK and redeemable once for a one-round-trip
 	// reconnect.
 	tickets *securelink.TicketSource
 	// hsLimiter, when non-nil, rate-limits cookie-verified handshakes
@@ -222,9 +210,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.TicketLifetime <= 0 {
 		cfg.TicketLifetime = defaultTicketLifetime
-	}
-	if cfg.MaxProtocol == 0 || cfg.MaxProtocol > wire.Version {
-		cfg.MaxProtocol = wire.Version
 	}
 	cookies, err := securelink.NewCookieSource(cookieRotateEvery)
 	if err != nil {
@@ -328,47 +313,47 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// srvHandshake is the server side of one negotiated handshake: the
-// encoded challenge to send the client, the derived session link, and —
-// on the v4 path — the fresh resumption ticket to embed in the sealed
-// ack plus whether the session resumed from a presented ticket.
-type srvHandshake struct {
+// offer is the server's half of one accepted HELLO: the scenario the
+// session will run, the encoded CHALLENGE2 to send in plaintext, the
+// session link, and the encoded HELLO-ACK to seal behind it.
+type offer struct {
+	opt       testbed.Options
 	challenge []byte
 	link      *securelink.Link
-	ticket    []byte
-	resumed   bool
+	id        uint64
+	ack       []byte
 }
 
-// deriveSessionLink runs the key agreement for one HELLO at the
-// negotiated version. For v1–v3 it is the legacy derivation: both
-// nonces into securelink.SessionSecret under the master. For v4 it is
-// the AKE: a transcript-bound HKDF schedule over the HELLO and
-// CHALLENGE2 bytes, mixing the master PSK with either the X25519
+// negotiate answers one HELLO: the version check, the scenario options,
+// the key agreement, and the session ID. A HELLO the server cannot serve
+// — an older wire version, out-of-range scenario options, a malformed
+// key share — is handed to refuse as a plaintext Error; the version and
+// option checks run before any ticket is redeemed or minted. ok is false
+// when the handshake must end (also, silently, when entropy runs out).
+//
+// The key agreement is a transcript-bound HKDF schedule over the HELLO
+// and CHALLENGE2 bytes, mixing the master PSK with either the X25519
 // ephemeral-ephemeral shared secret or, when the HELLO carries a
 // redeemable ticket, the previous session's resumption secret (skipping
-// the DH for a one-round-trip reconnect). A fresh single-use ticket
-// bound to addr is minted for every v4 handshake.
-//
-// A nil link with a non-empty refuse means the HELLO is malformed and
-// should be refused in plaintext; a nil link with an empty refuse is an
-// internal failure (exhausted entropy) and the connection just drops.
-func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string) (hs srvHandshake, refuse string) {
-	if version < 4 {
-		var challenge wire.Challenge
-		if _, err := rand.Read(challenge.ServerNonce[:]); err != nil {
-			return srvHandshake{}, ""
-		}
-		nonces := append(append([]byte(nil), hello.Nonce[:]...), challenge.ServerNonce[:]...)
-		link, _, err := securelink.Pair(securelink.SessionSecret(s.cfg.Secret, nonces))
-		if err != nil {
-			return srvHandshake{}, ""
-		}
-		return srvHandshake{challenge: challenge.Encode(), link: link}, ""
+// the DH for a one-round-trip reconnect). The fresh server nonce and
+// ephemeral mean a recorded session's sealed frames can never open in a
+// new one: per-message replay protection extends to whole-session
+// replay. A fresh single-use ticket bound to addr is minted for every
+// handshake, and the link gets the transport's receive window.
+func (s *Server) negotiate(hello *wire.Hello, addr string, window int, refuse func(*wire.Error)) (o offer, ok bool) {
+	if hello.Version < wire.Version {
+		refuse(&wire.Error{Code: wire.CodeUnsupportedVersion,
+			Msg: fmt.Sprintf("wire protocol v%d is not supported; this server speaks v%d", hello.Version, wire.Version)})
+		return o, false
 	}
-
+	opt, err := s.scenarioOptions(hello)
+	if err != nil {
+		refuse(&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()})
+		return o, false
+	}
 	var challenge wire.Challenge2
 	if _, err := rand.Read(challenge.ServerNonce[:]); err != nil {
-		return srvHandshake{}, ""
+		return o, false
 	}
 	// A presented ticket is redeemed (consumed) even when the handshake
 	// later fails — single use means single attempt. An expired or
@@ -383,15 +368,17 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string
 		challenge.Resumed = true
 	} else {
 		if len(hello.KeyShare) != securelink.KeyShareLen {
-			return srvHandshake{}, "wire protocol v4 requires an X25519 key share"
+			refuse(&wire.Error{Code: wire.CodeBadRequest, Msg: "wire protocol v4 requires an X25519 key share"})
+			return o, false
 		}
 		eph, err := securelink.NewEphemeral()
 		if err != nil {
-			return srvHandshake{}, ""
+			return o, false
 		}
 		challenge.KeyShare = eph.Public()
 		if dh, err = eph.Shared(hello.KeyShare); err != nil {
-			return srvHandshake{}, "invalid X25519 key share"
+			refuse(&wire.Error{Code: wire.CodeBadRequest, Msg: "invalid X25519 key share"})
+			return o, false
 		}
 	}
 	enc := challenge.Encode()
@@ -406,11 +393,50 @@ func (s *Server) deriveSessionLink(hello *wire.Hello, version uint8, addr string
 	}
 	link, _, err := securelink.Pair(sched.SessionSecret())
 	if err != nil {
-		return srvHandshake{}, ""
+		return o, false
 	}
+	link.SetWindow(window)
+	link.EnableRekey(sessionRekeyEvery)
 	// A mint failure only costs the client its next resumption.
 	ticket, _ := s.tickets.Mint(sched.ResumptionSecret(), addr)
-	return srvHandshake{challenge: enc, link: link, ticket: ticket, resumed: challenge.Resumed}, ""
+	id := s.nextSession.Add(1)
+	ack := &wire.HelloAck{Version: wire.Version, SessionID: id, Ticket: ticket}
+	return offer{opt: opt, challenge: enc, link: link, id: id, ack: ack.Encode()}, true
+}
+
+// commit turns an authenticated handshake into a live session. The
+// caller has opened first, the client's first sealed frame, under
+// o.link, so the ID handed out in the ack now becomes a counted session. Admission runs
+// under the AdmissionWait policy: the default blocks until a session
+// slot frees (bounded concurrency); a shedding policy answers with a
+// sealed BUSY bound to the first request's ID, so the client's pending
+// call fails fast instead of timing out, and commit returns a nil
+// session. Otherwise the handshake deadline is lifted (experiment
+// requests may legitimately run for minutes) and the caller must run
+// end when the session is over.
+func (s *Server) commit(tc transportConn, o offer, first []byte) (sess *session, end func()) {
+	if !s.admitSession() {
+		s.met.ShedHandshakes.Add(1)
+		if id, _, _, _, err := wire.DecodeEnvelopeV3(first); err == nil {
+			busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
+			_ = tc.writeFrame(o.link.Seal(wire.EncodeEnvelopeV3(id, 0, 0, busy)))
+		}
+		return nil, nil
+	}
+	s.met.TotalSessions.Add(1)
+	s.met.ActiveSessions.Add(1)
+	sess = s.newSession(o.opt)
+	sess.id = o.id
+	sess.link = o.link
+	s.reg.Register(o.id, &sess.met)
+	_ = tc.setReadDeadline(time.Time{})
+	return sess, func() {
+		s.absorbLinkStats(sess.link)
+		s.pool.put(sess.sc)
+		s.reg.Unregister(sess.id)
+		s.met.ActiveSessions.Add(-1)
+		<-s.sem
+	}
 }
 
 // ServeConn runs one session on an established transport (TCP connection
@@ -425,9 +451,8 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// nor pin a goroutine indefinitely.
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 
-	// HELLO travels in plaintext: it carries the public nonce both ends
-	// feed into the session key derivation, and the client's highest
-	// protocol version. The negotiated version is the minimum of the two.
+	// HELLO travels in plaintext: it carries the public nonce and key
+	// share both ends feed into the session key schedule.
 	raw, err := wire.ReadFrameLimit(conn, maxHelloFrame)
 	if err != nil {
 		return
@@ -437,41 +462,19 @@ func (s *Server) ServeConn(conn net.Conn) {
 		return
 	}
 	hello, ok := msg.(*wire.Hello)
-	if !ok || hello.Version < wire.MinVersion {
+	if !ok {
 		return
 	}
-	version := hello.Version
-	if version > s.cfg.MaxProtocol {
-		version = s.cfg.MaxProtocol
-	}
-	opt, err := s.scenarioOptions(hello)
-	if err != nil {
-		// The link is not established yet, so the refusal is plaintext.
-		_ = wire.WriteFrame(conn, (&wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}).Encode())
+	o, ok := s.negotiate(hello, conn.RemoteAddr().String(), sessionWindow, func(e *wire.Error) {
+		_ = wire.WriteFrame(conn, e.Encode())
+	})
+	if !ok {
 		return
 	}
-
-	// The session keys bind a fresh server nonce (and on v4 a fresh
-	// ephemeral DH) alongside the client's, so a recorded session's
-	// sealed frames can never open in a new one: per-message replay
-	// protection extends to whole-session replay.
-	hs, refuse := s.deriveSessionLink(hello, version, conn.RemoteAddr().String())
-	if hs.link == nil {
-		if refuse != "" {
-			_ = wire.WriteFrame(conn, (&wire.Error{Code: wire.CodeBadRequest, Msg: refuse}).Encode())
-		}
+	if err := wire.WriteFrame(conn, o.challenge); err != nil {
 		return
 	}
-	if err := wire.WriteFrame(conn, hs.challenge); err != nil {
-		return
-	}
-	link := hs.link
-	link.SetWindow(sessionWindow)
-	link.EnableRekey(sessionRekeyEvery)
-
-	id := s.nextSession.Add(1)
-	ack := &wire.HelloAck{Version: version, SessionID: id, Ticket: hs.ticket}
-	if err := wire.WriteFrame(conn, link.Seal(ack.Encode())); err != nil {
+	if err := wire.WriteFrame(conn, o.link.Seal(o.ack)); err != nil {
 		return
 	}
 
@@ -483,58 +486,23 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	plain, err := link.Open(raw)
+	plain, err := o.link.Open(raw)
 	if err != nil {
 		return
 	}
-
-	// Authenticated (the ID handed out in the ack only becomes a counted
-	// session here). Admission: under the default AdmissionWait=0 policy
-	// this blocks until a session slot frees (bounded concurrency);
-	// shedding policies answer the first request with a sealed BUSY
-	// instead of queueing. Then lift the handshake deadline (experiment
-	// requests may legitimately run for minutes).
-	if !s.admitSession() {
-		s.met.ShedHandshakes.Add(1)
-		busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-		if version >= 2 {
-			if id, _, _, err := decodeReqEnvelope(version, plain); err == nil {
-				_ = wire.WriteFrame(conn, link.Seal(encodeRespEnvelope(version, envelope{id: id, msg: busy}, 0)))
-				return
-			}
-		}
-		_ = wire.WriteFrame(conn, link.Seal(busy.Encode()))
-		return
-	}
-	s.met.TotalSessions.Add(1)
-	defer func() { <-s.sem }()
-	s.met.ActiveSessions.Add(1)
-	defer s.met.ActiveSessions.Add(-1)
-
-	sess := s.newSession(opt)
-	sess.id = id
-	sess.version = version
-	sess.link = link
-	s.reg.Register(id, &sess.met)
-	defer s.reg.Unregister(id)
-	defer s.pool.put(sess.sc)
-	defer s.absorbLinkStats(link)
-	_ = conn.SetReadDeadline(time.Time{})
-
 	tc := &streamConn{c: conn}
-	if version == 1 {
-		s.serveV1(tc, link, sess, plain)
+	sess, end := s.commit(tc, o, plain)
+	if sess == nil {
 		return
 	}
-	s.serveV2(tc, link, sess, plain)
+	defer end()
+	s.serveSession(tc, sess, plain)
 }
 
 // ServePacket serves datagram sessions from a packet socket (UDP, or an
 // in-process faultnet endpoint) until the socket is closed: one session
 // per remote address, each beginning with a plaintext HELLO datagram.
-// Only wire protocol v2 is served — the datagram reliability layer is
-// built on v2's request IDs, which v1 does not carry. It returns the
-// socket's read error.
+// It returns the socket's read error.
 func (s *Server) ServePacket(pc net.PacketConn) error {
 	l := dgram.ListenGated(pc, s.handshakeGate)
 	s.dl.Store(l)
@@ -593,7 +561,7 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 	if !ok {
 		return false, nil
 	}
-	// A v4 resumption ticket issued to exactly this source address stands
+	// A resumption ticket issued to exactly this source address stands
 	// in for the cookie round: it proves a prior completed handshake from
 	// the address, which is strictly stronger reachability proof than a
 	// cookie echo, so resumption stays one round trip. Peek consumes
@@ -632,9 +600,9 @@ func (s *Server) handshakeGate(addr net.Addr, payload []byte) (accept bool, repl
 }
 
 // servePeer runs one datagram session. The handshake mirrors ServeConn
-// — HELLO → CHALLENGE → sealed HELLO-ACK → first authenticated sealed
+// — HELLO → CHALLENGE2 → sealed HELLO-ACK → first authenticated sealed
 // frame commits a session slot — with the lossy-transport differences:
-// a retransmitted HELLO re-sends the same CHALLENGE (and a re-sealed
+// a retransmitted HELLO re-sends the same CHALLENGE2 (and a re-sealed
 // ACK) instead of confusing the session, and undecryptable datagrams
 // are dropped instead of ending the handshake.
 //
@@ -666,50 +634,22 @@ func (s *Server) servePeer(peer *dgram.PeerConn) {
 		}
 		hello, _ = msg.(*wire.Hello)
 	}
-	refuse := func(msg string) {
-		_ = peer.WriteFrame(dgram.KindHandshake,
-			(&wire.Error{Code: wire.CodeBadRequest, Msg: msg}).Encode())
-	}
-	version := hello.Version
-	if version > s.cfg.MaxProtocol {
-		version = s.cfg.MaxProtocol
-	}
-	// The negotiated version (not just the announced one) must carry
-	// request IDs: a v1 client — or any client against a MaxProtocol=1
-	// server — cannot run the datagram reliability layer.
-	if hello.Version < 2 || version < 2 {
-		refuse("datagram transport requires wire protocol v2")
+	o, ok := s.negotiate(hello, peer.RemoteAddr().String(), dgramWindow, func(e *wire.Error) {
+		_ = peer.WriteFrame(dgram.KindHandshake, e.Encode())
+	})
+	if !ok {
 		return
 	}
-	opt, err := s.scenarioOptions(hello)
-	if err != nil {
-		refuse(err.Error())
-		return
-	}
-
-	hs, refuseMsg := s.deriveSessionLink(hello, version, peer.RemoteAddr().String())
-	if hs.link == nil {
-		if refuseMsg != "" {
-			refuse(refuseMsg)
-		}
-		return
-	}
-	link := hs.link
-	link.SetWindow(dgramWindow)
-	link.EnableRekey(sessionRekeyEvery)
-
-	id := s.nextSession.Add(1)
-	ack := &wire.HelloAck{Version: version, SessionID: id, Ticket: hs.ticket}
 	// sendChallenge re-seals the ACK on every (re)send: the client's
 	// receive window accepts whichever copy lands first and replay-drops
-	// the rest. The challenge bytes themselves are fixed — on v4 they
-	// entered the handshake transcript, so every retransmit must be
+	// the rest. The challenge bytes themselves are fixed — they entered
+	// the handshake transcript, so every retransmit must be
 	// byte-identical.
 	sendChallenge := func() bool {
-		if err := peer.WriteFrame(dgram.KindHandshake, hs.challenge); err != nil {
+		if err := peer.WriteFrame(dgram.KindHandshake, o.challenge); err != nil {
 			return false
 		}
-		return peer.WriteFrame(dgram.KindSealed, link.Seal(ack.Encode())) == nil
+		return peer.WriteFrame(dgram.KindSealed, o.link.Seal(o.ack)) == nil
 	}
 	if !sendChallenge() {
 		return
@@ -742,47 +682,27 @@ func (s *Server) servePeer(peer *dgram.PeerConn) {
 			}
 			continue
 		}
-		p, err := link.Open(payload)
+		p, err := o.link.Open(payload)
 		if err != nil {
 			continue // lost to loss/corruption; the client retransmits
 		}
 		plain = p
 	}
 
-	// Authenticated: commit a session slot and a scenario, exactly like
-	// the stream path. Under a shedding admission policy the gate already
-	// refuses HELLOs while the table is full, so shedding here only
-	// catches the race where the table filled between gate and commit;
-	// the refusal is a sealed BUSY bound to the first request's ID, so
-	// the client's pending call fails fast instead of timing out.
-	if !s.admitSession() {
-		s.met.ShedHandshakes.Add(1)
-		if reqID, _, _, err := decodeReqEnvelope(version, plain); err == nil {
-			busy := &wire.Busy{RetryAfterMillis: s.retryAfterMillis()}
-			_ = peer.WriteFrame(dgram.KindSealed, link.Seal(encodeRespEnvelope(version, envelope{id: reqID, msg: busy}, 0)))
-		}
+	// Under a shedding admission policy the gate already refuses HELLOs
+	// while the table is full, so a shed in commit only catches the race
+	// where the table filled between gate and commit.
+	tc := &packetTC{fc: peer}
+	sess, end := s.commit(tc, o, plain)
+	if sess == nil {
 		return
 	}
-	s.met.TotalSessions.Add(1)
-	defer func() { <-s.sem }()
-	s.met.ActiveSessions.Add(1)
-	defer s.met.ActiveSessions.Add(-1)
-
-	sess := s.newSession(opt)
-	sess.id = id
-	sess.version = version
-	sess.link = link
+	defer end()
 	origNonce := hello.Nonce
 	sess.takeover = func(payload []byte) bool {
 		return s.sessionTakeover(peer, origNonce, payload)
 	}
-	s.reg.Register(id, &sess.met)
-	defer s.reg.Unregister(id)
-	defer s.pool.put(sess.sc)
-	defer s.absorbLinkStats(link)
-	_ = peer.SetReadDeadline(time.Time{})
-
-	s.serveV2(&packetTC{fc: peer}, link, sess, plain)
+	s.serveSession(tc, sess, plain)
 }
 
 // sessionTakeover classifies a handshake datagram that reached an
@@ -873,53 +793,8 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 	return func() { close(done) }
 }
 
-// serveV1 is the strict request/response loop: one request at a time,
-// answered before the next frame is read. plain is the already-opened
-// first request. Only stream transports reach it (datagram sessions are
-// v2-only).
-func (s *Server) serveV1(tc transportConn, link *securelink.Link, sess *session, plain []byte) {
-	// The idle reaper applies to v1 sessions too; "busy" means a request
-	// is being executed (experiments may legitimately run for minutes).
-	var lastActivity atomic.Int64
-	var busy atomic.Bool
-	lastActivity.Store(time.Now().UnixNano())
-	busy.Store(true)
-	defer s.startReaper(tc, &lastActivity, busy.Load)()
-
-	for {
-		req, err := wire.Decode(plain)
-		if err != nil {
-			req = nil // authentic but malformed: answer and keep the session
-		}
-		resp, done := s.dispatch(sess, req)
-		if _, isErr := resp.(*wire.Error); isErr {
-			sess.met.Errors.Add(1)
-		}
-		if err := tc.writeFrame(link.Seal(resp.Encode())); err != nil {
-			return
-		}
-		if done {
-			return
-		}
-		lastActivity.Store(time.Now().UnixNano())
-		busy.Store(false)
-		raw, _, err := tc.readFrame()
-		if err != nil {
-			return
-		}
-		busy.Store(true)
-		lastActivity.Store(time.Now().UnixNano())
-		plain, err = link.Open(raw)
-		if err != nil {
-			// Authentication/replay failure is a transport compromise, not
-			// a request error: tear the session down.
-			return
-		}
-	}
-}
-
 // envelope pairs a request ID with the message that answers (or asks)
-// it, plus the v3 frame roles: partial marks a streamed non-final
+// it, plus its frame roles: partial marks a streamed non-final
 // response (EnvPartial on the wire, never recorded in the dedup
 // ledger), and last marks the final frame of the session (the BYE
 // response) — after flushing it the writer closes the transport to
@@ -931,46 +806,14 @@ type envelope struct {
 	last    bool
 }
 
-// decodeReqEnvelope parses a request envelope by negotiated session
-// version. cum is the client's cumulative-progress report (always 0 on
-// v2). A client-sent partial flag is malformed.
-func decodeReqEnvelope(version uint8, plain []byte) (id uint64, cum uint64, m wire.Message, err error) {
-	if version >= 3 {
-		var flags uint8
-		id, flags, cum, m, err = wire.DecodeEnvelopeV3(plain)
-		if err == nil && flags != 0 {
-			return id, cum, nil, wire.ErrInvalid
-		}
-		return id, cum, m, err
-	}
-	id, m, err = wire.DecodeEnvelope(plain)
-	return id, 0, m, err
-}
-
-// encodeRespEnvelope serializes a response envelope by negotiated
-// session version; cum is the server's cumulative-progress report
-// (dropped on v2).
-func encodeRespEnvelope(version uint8, e envelope, cum uint64) []byte {
-	if version >= 3 {
-		var flags uint8
-		if e.partial {
-			flags |= wire.EnvPartial
-		}
-		return wire.EncodeEnvelopeV3(e.id, flags, cum, e.msg)
-	}
-	return wire.EncodeEnvelope(e.id, e.msg)
-}
-
-// serveV2 is the multiplexed loop (protocol v2 and v3). Three roles
-// share the connection:
+// serveSession is the session loop. Three roles share the connection:
 //
 //   - this goroutine (the reader) owns link.Open, classifies requests,
 //     and enforces the in-flight window;
 //   - a per-session executor goroutine runs scenario-mutating requests
-//     one at a time — in arrival order on v2 sessions, in request-ID
-//     order on v3 sessions (the resequencer restores ID order under
-//     datagram loss/reordering, which is what makes pipelined
-//     submission deterministic);
+//     one at a time in request-ID order (the resequencer restores ID
+//     order under datagram loss/reordering, which is what makes
+//     pipelined submission deterministic);
 //   - a writer goroutine owns link.Seal and conn writes, so responses
 //     from the executor, experiment goroutines, and the reader's own
 //     fast-path replies interleave safely.
@@ -978,6 +821,19 @@ func encodeRespEnvelope(version uint8, e envelope, cum uint64) []byte {
 // A request's slot in the window is released only after its response has
 // been handed to the writer, so once the reader can claim every slot the
 // session is quiescent and the channels can be torn down safely.
+//
+// Three mechanisms keep requests ordered and the server informed:
+//
+//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) pass through the
+//     resequencer before the executor, so an op that arrives above a
+//     lost datagram waits in the reorder buffer instead of executing
+//     early, and duplicates are recognized before consuming a window
+//     slot (a gap-stalled window must never wedge the reader);
+//   - every response envelope carries the server's cumulative-progress
+//     report, and the client's report prunes the dedup ledger;
+//   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
+//     while they run; partials bypass the dedup ledger so the final
+//     answer still completes the request.
 //
 // On an unreliable transport two more rules apply, which together give
 // exactly-once execution over an at-least-once network:
@@ -991,24 +847,12 @@ func encodeRespEnvelope(version uint8, e envelope, cum uint64) []byte {
 //     scenario — re-execution would fork the deterministic per-seed
 //     result stream.
 //
-// On v3 sessions three more mechanisms run on top:
-//
-//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) pass through the
-//     resequencer before the executor, so an op that arrives above a
-//     lost datagram waits in the reorder buffer instead of executing
-//     early, and duplicates are recognized before consuming a window
-//     slot (a gap-stalled window must never wedge the reader);
-//   - every response envelope carries the server's cumulative-progress
-//     report, and the client's report prunes the dedup ledger;
-//   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
-//     while they run; partials bypass the dedup ledger so the final
-//     answer still completes the request.
-//
-// BYE is sequenced like any ordered op on v3: the executor answers it
-// only after every lower ID has executed, drains the rest of the
-// window, and marks the response `last` — the writer flushes it, then
-// closes the transport to steer the reader into teardown.
-func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session, firstPlain []byte) {
+// BYE is sequenced like any ordered op: the executor answers it only
+// after every lower ID has executed, drains the rest of the window, and
+// marks the response `last` — the writer flushes it, then closes the
+// transport to steer the reader into teardown.
+func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte) {
+	link := sess.link
 	window := s.cfg.InFlightPerSession
 	slots := make(chan struct{}, window) // filled = in flight
 	exec := make(chan envelope, window)  // scenario ops, execution order
@@ -1018,10 +862,7 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	if tc.unreliable() {
 		dedup = newDedupState()
 	}
-	var rs *resequencer
-	if sess.version >= 3 {
-		rs = newResequencer()
-	}
+	rs := newResequencer()
 	// dying closes when no further frame can ever be sent (the final BYE
 	// response was flushed, or the transport broke): the reader stops
 	// waiting for window slots — which may be held hostage by a reorder
@@ -1034,13 +875,6 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	// the reorder buffer (releasing its window slots) and drain exec
 	// without executing.
 	stopExec := make(chan struct{})
-
-	srvCum := func() uint64 {
-		if rs != nil {
-			return rs.cum()
-		}
-		return 0
-	}
 
 	// Writer: sole owner of link.Seal and transport writes. On a write
 	// error it closes the transport (waking the reader) and keeps
@@ -1062,7 +896,11 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			if dedup != nil && !e.partial {
 				dedup.complete(e.id, e.msg)
 			}
-			if err := tc.writeFrame(link.Seal(encodeRespEnvelope(sess.version, e, srvCum()))); err != nil {
+			var flags uint8
+			if e.partial {
+				flags = wire.EnvPartial
+			}
+			if err := tc.writeFrame(link.Seal(wire.EncodeEnvelopeV3(e.id, flags, rs.cum(), e.msg))); err != nil {
 				broken = true
 				tc.close()
 				die()
@@ -1082,8 +920,8 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	}()
 
 	// Executor: scenario-mutating requests one at a time, in the order
-	// the reader (via the resequencer on v3) put them on exec. Every
-	// envelope on exec holds one slot of the global work budget, released
+	// the resequencer released them onto exec. Every envelope on exec
+	// except the BYE holds one slot of the global work budget, released
 	// as soon as the scenario work is done.
 	go func() {
 		discard := false
@@ -1093,17 +931,15 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			case <-stop:
 				stop = nil
 				discard = true
-				if rs != nil {
-					for range rs.discard() {
-						sess.met.LeaveFlight()
-						<-slots
-					}
+				for range rs.discard() {
+					sess.met.LeaveFlight()
+					<-slots
 				}
 			case e, ok := <-exec:
 				if !ok {
 					return
 				}
-				if _, isBye := e.msg.(*wire.Bye); isBye && rs != nil {
+				if _, isBye := e.msg.(*wire.Bye); isBye {
 					// Ordered ops below the BYE have all executed (it was
 					// sequenced); anything buffered above it never will.
 					for range rs.discard() {
@@ -1180,23 +1016,25 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 		<-slots
 	}
 
-	// dispatchReleased hands resequenced ordered requests to the executor
-	// (v3 only). Global load shedding happens at release time — a request
-	// buffered behind a gap must not sit on server-wide work budget while
-	// it waits. Reports whether the session's BYE was among the releases.
-	// A well-behaved client gives BYE its highest ID; anything released
-	// after it came from a misbehaving peer and is dropped unanswered (its
-	// slot must not survive the executor's window drain).
-	dispatchReleased := func(rel []envelope) (bye bool) {
+	// release hands resequenced ordered requests to the executor. Global
+	// load shedding happens at release time — a request buffered behind
+	// a gap must not sit on server-wide work budget while it waits. The
+	// BYE response must be the session's last frame, so it ends the
+	// window: a well-behaved client gives BYE its highest ID, and
+	// anything released after it came from a misbehaving peer and is
+	// dropped unanswered (its slot must not survive the executor's window
+	// drain).
+	byeSeen := false
+	release := func(rel []envelope) {
 		for _, e := range rel {
-			if bye {
+			if byeSeen {
 				sess.met.LeaveFlight()
 				<-slots
 				continue
 			}
 			if _, isBye := e.msg.(*wire.Bye); isBye {
 				exec <- e
-				bye = true
+				byeSeen = true
 				continue
 			}
 			if !s.acquireWork() {
@@ -1205,19 +1043,13 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			}
 			exec <- e
 		}
-		return bye
 	}
 
-	// quiesce blocks until every in-flight request has enqueued its
-	// response, then owns the whole window.
-	quiesce := func(alreadyHeld int) {
-		for i := alreadyHeld; i < window; i++ {
+	shutdown := func() {
+		close(stopExec)
+		for i := 0; i < window; i++ {
 			slots <- struct{}{}
 		}
-	}
-	shutdown := func(held int) {
-		close(stopExec)
-		quiesce(held)
 		close(exec)
 		close(out)
 		<-writerDone
@@ -1231,45 +1063,42 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 	var lastActivity atomic.Int64
 	lastActivity.Store(time.Now().UnixNano())
 	defer s.startReaper(tc, &lastActivity, func() bool {
-		held := len(slots)
-		if rs != nil {
-			held -= rs.pending()
-		}
-		return held > 0
+		return len(slots)-rs.pending() > 0
 	})()
 
-	// handle classifies one authenticated plaintext. It returns true when
-	// the session is done (v2 BYE; v3 sessions end via the writer's
-	// transport close instead). The caller has NOT yet taken a slot.
-	byeSeen := false
-	handle := func(plain []byte) (done bool) {
-		id, cum, req, err := decodeReqEnvelope(sess.version, plain)
+	// handle classifies one authenticated plaintext. Every request ID
+	// passes the resequencer exactly once: ordered requests enter it, and
+	// every other ID is skipped past so ordered requests above it can
+	// run.
+	handle := func(plain []byte) {
+		id, flags, cum, req, err := wire.DecodeEnvelopeV3(plain)
+		if err == nil && flags != 0 {
+			req, err = nil, wire.ErrInvalid // a client never sends a partial
+		}
 		if err != nil {
 			// Authentic but malformed: answer (id 0 if the envelope was
-			// too short to carry one) and keep the session. On v3 the ID
-			// must still move the resequencer cursor, or every later
-			// ordered op would wait on it forever.
-			if rs != nil && id != 0 && dedup != nil {
+			// too short to carry one) and keep the session. The ID must
+			// still move the resequencer cursor, or every later ordered
+			// op would wait on it forever.
+			if id != 0 && dedup != nil {
 				if fresh, cached := dedup.claim(id); !fresh {
 					if cached != nil {
 						sess.met.Retransmits.Add(1)
 						s.met.TotalRetransmits.Add(1)
 						out <- envelope{id: id, msg: cached}
 					}
-					return false
+					return
 				}
 			}
 			if !takeSlot() {
-				return false
+				return
 			}
 			sess.met.EnterFlight()
 			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"})
-			if rs != nil && id != 0 {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
+			if id != 0 {
+				release(rs.skip(id))
 			}
-			return false
+			return
 		}
 		if dedup != nil {
 			dedup.prune(cum)
@@ -1286,117 +1115,63 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 				// original's response is coming. No window slot was
 				// consumed, so retransmits into a gap-stalled window can
 				// never wedge the reader.
-				return false
+				return
 			}
 		}
 		if byeSeen {
 			// The session's BYE has been sequenced; nothing fresh may
 			// enter the window while the executor drains it.
-			return false
+			return
 		}
 		if !takeSlot() {
-			return false
+			return
 		}
 		sess.met.EnterFlight()
 		switch m := req.(type) {
-		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq:
-			if rs != nil {
-				if dispatchReleased(rs.submit(envelope{id: id, msg: req})) {
-					byeSeen = true
-				}
-				return false
-			}
-			// Global load shedding: scenario work must fit the server-wide
-			// in-flight budget or be answered BUSY. The BUSY flows through
-			// the writer like any response, so on unreliable transports it
-			// lands in the dedup cache — a retransmit of the same request
-			// ID gets the cached BUSY, never a second execution attempt.
-			if !s.acquireWork() {
-				respond(id, s.shedRequest(sess))
-				return false
-			}
-			exec <- envelope{id: id, msg: m} // executor releases the slot and work budget
+		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
+			// Sequenced: the executor runs it (or, for BYE, answers it)
+			// after everything below it.
+			release(rs.submit(envelope{id: id, msg: req}))
+			return
 		case *wire.ExperimentReq:
+			// Global load shedding: experiment work must fit the
+			// server-wide in-flight budget or be answered BUSY. The BUSY
+			// flows through the writer like any response, so on
+			// unreliable transports it lands in the dedup cache — a
+			// retransmit of the same request ID gets the cached BUSY,
+			// never a second execution attempt.
 			if !s.acquireWork() {
 				respond(id, s.shedRequest(sess))
-			} else {
-				sess.met.Experiments.Add(1)
-				var emit func(*wire.ExperimentProgress)
-				if rs != nil {
-					emit = func(p *wire.ExperimentProgress) {
-						out <- envelope{id: id, msg: p, partial: true}
-					}
-				}
-				go func() {
-					defer s.releaseWork()
-					respond(id, s.handleExperiment(m, emit))
-				}()
+				break
 			}
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
+			sess.met.Experiments.Add(1)
+			emit := func(p *wire.ExperimentProgress) {
+				out <- envelope{id: id, msg: p, partial: true}
 			}
+			go func() {
+				defer s.releaseWork()
+				respond(id, s.handleExperiment(m, emit))
+			}()
 		case *wire.Ping:
 			sess.met.Pings.Add(1)
 			s.met.TotalPings.Add(1)
 			respond(id, &wire.Pong{Token: m.Token})
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
 		case *wire.StatusReq:
 			st := s.Status()
 			respond(id, &st)
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
 		case *wire.MetricsReq:
 			respond(id, s.handleMetrics(sess))
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
-		case *wire.Bye:
-			if rs != nil {
-				// Sequenced like any ordered op: the executor answers it
-				// after everything below it has executed.
-				if dispatchReleased(rs.submit(envelope{id: id, msg: req})) {
-					byeSeen = true
-				}
-				return false
-			}
-			// v2: drain every other in-flight request first so the BYE
-			// response is provably the last frame of the session.
-			quiesce(1)
-			out <- envelope{id: id, msg: &wire.Bye{}}
-			sess.met.LeaveFlight()
-			close(exec)
-			close(out)
-			<-writerDone
-			return true
 		default:
 			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "unexpected request"})
-			if rs != nil {
-				if dispatchReleased(rs.skip(id)) {
-					byeSeen = true
-				}
-			}
 		}
-		return false
+		release(rs.skip(id))
 	}
 
-	if handle(firstPlain) {
-		return
-	}
+	handle(firstPlain)
 	for {
 		raw, hs, err := tc.readFrame()
 		if err != nil {
-			shutdown(0)
+			shutdown()
 			return
 		}
 		if hs {
@@ -1405,7 +1180,7 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			// it. A cookie-verified HELLO with a DIFFERENT nonce is a new
 			// client instance on this address — hand the address over.
 			if sess.takeover != nil && sess.takeover(raw) {
-				shutdown(0)
+				shutdown()
 				return
 			}
 			continue
@@ -1420,12 +1195,10 @@ func (s *Server) serveV2(tc transportConn, link *securelink.Link, sess *session,
 			}
 			// On a stream, authentication/replay failure is a transport
 			// compromise: tear the session down.
-			shutdown(0)
+			shutdown()
 			return
 		}
-		if handle(plain) {
-			return
-		}
+		handle(plain)
 		lastActivity.Store(time.Now().UnixNano())
 	}
 }
@@ -1459,16 +1232,15 @@ func (s *Server) scenarioOptions(h *wire.Hello) (testbed.Options, error) {
 
 // session is one active session's simulated world plus cached per-IMD
 // calibration and counters. The scenario-touching fields are driven by
-// exactly one goroutine at a time (the v1 loop, or the v2 executor);
-// met and link are safe for concurrent use.
+// exactly one goroutine at a time (the session's executor); met and
+// link are safe for concurrent use.
 type session struct {
-	id      uint64
-	version uint8
-	sc      *testbed.Scenario
-	eaves   *adversary.Eavesdropper
-	adv     *adversary.Active
-	link    *securelink.Link
-	met     metrics.Session
+	id    uint64
+	sc    *testbed.Scenario
+	eaves *adversary.Eavesdropper
+	adv   *adversary.Active
+	link  *securelink.Link
+	met   metrics.Session
 	// rssi caches each implant's calibrated received power at the shield;
 	// switching exchange targets restores the matching measurement.
 	rssi   []float64
@@ -1523,36 +1295,7 @@ func (sess *session) retarget(idx int) {
 	sess.target = idx
 }
 
-// dispatch executes one request serially — the v1 request/response path.
-// done reports that the session should end (BYE).
-func (s *Server) dispatch(sess *session, req wire.Message) (resp wire.Message, done bool) {
-	switch m := req.(type) {
-	case *wire.ExchangeReq:
-		return s.handleExchange(sess, m), false
-	case *wire.BatchReq:
-		return s.handleBatch(sess, m), false
-	case *wire.AttackReq:
-		return s.handleAttack(sess, m), false
-	case *wire.ExperimentReq:
-		sess.met.Experiments.Add(1)
-		return s.handleExperiment(m, nil), false
-	case *wire.StatusReq:
-		st := s.Status()
-		return &st, false
-	case *wire.Ping:
-		sess.met.Pings.Add(1)
-		s.met.TotalPings.Add(1)
-		return &wire.Pong{Token: m.Token}, false
-	case *wire.MetricsReq:
-		return s.handleMetrics(sess), false
-	case *wire.Bye:
-		return &wire.Bye{}, true
-	default:
-		return &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed or unexpected request"}, false
-	}
-}
-
-// dispatchScenario executes one scenario-mutating request — the v2
+// dispatchScenario executes one scenario-mutating request — the
 // executor path. Only EXCHANGE, BATCH-EXCHANGE, and ATTACK reach it.
 func (s *Server) dispatchScenario(sess *session, req wire.Message) wire.Message {
 	var resp wire.Message
@@ -1676,7 +1419,7 @@ const progressChunk = 64
 
 // handleExperiment runs a registry experiment server-side with the
 // deterministic worker fan-out bounded by the server config. When emit
-// is non-nil (v3 sessions), incremental progress is streamed through it
+// is non-nil, incremental progress is streamed through it
 // at progressChunk-trial granularity while the experiment runs.
 func (s *Server) handleExperiment(m *wire.ExperimentReq, emit func(*wire.ExperimentProgress)) wire.Message {
 	workers := int(m.Workers)
@@ -1713,7 +1456,7 @@ func (s *Server) handleMetrics(sess *session) wire.Message {
 	ls := sess.link.Stats()
 	return &wire.MetricsResp{
 		SessionID:            sess.id,
-		Protocol:             sess.version,
+		Protocol:             wire.Version,
 		Exchanges:            sess.met.Exchanges.Load(),
 		Batches:              sess.met.Batches.Load(),
 		BatchedExchanges:     sess.met.BatchedExchanges.Load(),

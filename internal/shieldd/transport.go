@@ -11,7 +11,7 @@ import (
 )
 
 // transportConn is the frame transport the session loops (server
-// serveV1/serveV2, client mux) are written against: a way to move
+// serveSession, client mux) are written against: a way to move
 // securelink-sealed frames, plus the two properties that distinguish a
 // datagram transport from a stream — whether a given inbound frame is a
 // plaintext handshake datagram, and whether the transport is unreliable
@@ -114,7 +114,7 @@ type dedupState struct {
 	done     map[uint64]wire.Message
 	order    []uint64 // done-cache FIFO eviction order
 	maxID    uint64   // highest request ID ever claimed
-	pruned   uint64   // ids <= pruned are client-confirmed delivered (v3 cum)
+	pruned   uint64   // ids <= pruned are client-confirmed delivered (client cum)
 }
 
 func newDedupState() *dedupState {
@@ -210,8 +210,8 @@ type TransportStats struct {
 	// every retransmission.
 	Timeouts uint64
 	// ProgressFrames is the number of streamed EXPERIMENT-PROGRESS
-	// frames received (v3 sessions; zero on v2 and on clients that never
-	// ran a streamed experiment). Unlike the other counters it is also
+	// frames received (zero on clients that never ran a streamed
+	// experiment). Unlike the other counters it is also
 	// populated on stream transports.
 	ProgressFrames uint64
 }
@@ -238,7 +238,7 @@ type retrier struct {
 }
 
 type retryEntry struct {
-	env     []byte // plaintext envelope (v2: id||msg, v3: id||flags||cum||msg)
+	env     []byte // plaintext envelope id||flags||cum||msg
 	tries   int
 	next    time.Time
 	ordered bool // scenario-ordered request: responses arrive in ID order

@@ -11,78 +11,150 @@ import (
 	"heartshield/internal/faultnet"
 	"heartshield/internal/shieldd"
 	"heartshield/internal/wire"
+	"heartshield/internal/wire/dgram"
 )
 
-// TestVersionInteropMatrix pins version negotiation across every client
-// protocol cap {1,2,3,4} against every server cap {1,2,3,4}, over both
-// transports. Every cell must end in a completed session at
-// min(client, server) or a clean typed error — never a hang. This is
-// the rollback safety net for the v4 handshake: old peers on either
-// side keep working.
+// TestVersionInteropMatrix pins the one wire protocol over both
+// transports: a client at wire.Version completes a session whose
+// results equal the in-process run, and a raw HELLO at every older
+// version (and at 0) is refused with a plaintext CodeUnsupportedVersion
+// error — never a hang — while the server counts no session and keeps
+// no datagram peer for it. On datagrams the refusal comes only after
+// the cookie round, so a spoofed source still gets nothing but a cookie.
 func TestVersionInteropMatrix(t *testing.T) {
 	want := localPair(7)
+	refused := func(t *testing.T, srv *shieldd.Server, hello func(*wire.Hello) (wire.Message, error), cv uint8) {
+		before := srv.Status()
+		peers := srv.DatagramPeers()
+		r := dialCellErr(t, func() (*shieldd.Client, error) {
+			m, err := hello(&wire.Hello{Version: cv, Seed: 7, KeyShare: make([]byte, 32)})
+			if err != nil {
+				return nil, err
+			}
+			if e, ok := m.(*wire.Error); ok {
+				return nil, e
+			}
+			return nil, fmt.Errorf("server answered a v%d HELLO with %T", cv, m)
+		})
+		var we *wire.Error
+		if !errors.As(r.err, &we) || we.Code != wire.CodeUnsupportedVersion {
+			t.Fatalf("v%d HELLO: got %v, want a CodeUnsupportedVersion refusal", cv, r.err)
+		}
+		after := srv.Status()
+		if after.TotalSessions != before.TotalSessions || after.ActiveSessions != before.ActiveSessions {
+			t.Fatalf("refused HELLO moved session counters: %+v -> %+v", before, after)
+		}
+		// The refusing peer goroutine unregisters just after its reply.
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.DatagramPeers() != peers {
+			if time.Now().After(deadline) {
+				t.Fatalf("refused HELLO left %d datagram peers, want %d", srv.DatagramPeers(), peers)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	check := func(t *testing.T, c *shieldd.Client) {
+		defer c.Close()
+		if got := clientPair(t, c); got != want {
+			t.Errorf("session results %+v != in-process %+v", got, want)
+		}
+		m, err := c.Metrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Protocol != wire.Version {
+			t.Errorf("session reports protocol v%d, want v%d", m.Protocol, wire.Version)
+		}
+	}
 
 	t.Run("stream", func(t *testing.T) {
-		for sv := uint8(1); sv <= wire.Version; sv++ {
-			srv := newServer(t, shieldd.ServerConfig{MaxProtocol: sv})
-			for cv := uint8(1); cv <= wire.Version; cv++ {
-				t.Run(fmt.Sprintf("c%d_s%d", cv, sv), func(t *testing.T) {
-					c := dialCell(t, func() (*shieldd.Client, error) {
-						return srv.Pipe(shieldd.SessionOptions{Seed: 7, Protocol: cv})
-					})
-					defer c.Close()
-					if got, wantV := c.Version(), min(cv, sv); got != wantV {
-						t.Errorf("negotiated v%d, want v%d", got, wantV)
-					}
-					if got := clientPair(t, c); got != want {
-						t.Errorf("session results %+v != in-process %+v", got, want)
-					}
-				})
+		srv := newServer(t, shieldd.ServerConfig{})
+		hello := func(h *wire.Hello) (wire.Message, error) {
+			cEnd, sEnd := net.Pipe()
+			go srv.ServeConn(sEnd)
+			defer cEnd.Close()
+			if err := wire.WriteFrame(cEnd, h.Encode()); err != nil {
+				return nil, err
 			}
+			raw, err := wire.ReadFrame(cEnd)
+			if err != nil {
+				return nil, err
+			}
+			return wire.Decode(raw)
+		}
+		for cv := uint8(0); cv <= wire.Version; cv++ {
+			t.Run(fmt.Sprintf("c%d_s%d", cv, wire.Version), func(t *testing.T) {
+				if cv < wire.Version {
+					refused(t, srv, hello, cv)
+					return
+				}
+				check(t, dialCell(t, func() (*shieldd.Client, error) {
+					return srv.Pipe(shieldd.SessionOptions{Seed: 7})
+				}))
+			})
 		}
 	})
 
 	t.Run("datagram", func(t *testing.T) {
-		for sv := uint8(1); sv <= wire.Version; sv++ {
-			nw := faultnet.New(40+int64(sv), faultnet.Impairment{})
-			defer nw.Close()
-			startPacketServer(t, nw, "server", shieldd.ServerConfig{MaxProtocol: sv})
-			for cv := uint8(1); cv <= wire.Version; cv++ {
-				t.Run(fmt.Sprintf("c%d_s%d", cv, sv), func(t *testing.T) {
-					pc, err := nw.Listen(fmt.Sprintf("mx-%d-%d", cv, sv))
-					if err != nil {
-						t.Fatal(err)
-					}
-					c := dialCellErr(t, func() (*shieldd.Client, error) {
-						return shieldd.NewPacketClient(pc, faultnet.Addr("server"), testSecret,
-							shieldd.SessionOptions{Seed: 7, Protocol: cv,
-								RetryTimeout: 20 * time.Millisecond, MaxRetries: 5})
-					})
-					if cv < 2 || sv < 2 {
-						// Datagram transport is v2+: a v1 cap on either side
-						// must refuse cleanly (client-side for cv=1, a
-						// plaintext server error for sv=1).
-						if c.err == nil {
-							c.c.Close()
-							t.Fatalf("v%d×v%d datagram session completed, want refusal", cv, sv)
-						}
-						pc.Close()
-						return
-					}
-					if c.err != nil {
-						t.Fatalf("datagram dial: %v", c.err)
-					}
-					defer c.c.Close()
-					if got, wantV := c.c.Version(), min(cv, sv); got != wantV {
-						t.Errorf("negotiated v%d, want v%d", got, wantV)
-					}
-					if got := clientPair(t, c.c); got != want {
-						t.Errorf("session results %+v != in-process %+v", got, want)
-					}
-				})
-			}
+		nw := faultnet.New(44, faultnet.Impairment{})
+		defer nw.Close()
+		srv := startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+		for cv := uint8(0); cv <= wire.Version; cv++ {
+			t.Run(fmt.Sprintf("c%d_s%d", cv, wire.Version), func(t *testing.T) {
+				ep, err := nw.Listen(fmt.Sprintf("mx-%d", cv))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cv < wire.Version {
+					defer ep.Close()
+					refused(t, srv, func(h *wire.Hello) (wire.Message, error) {
+						return packetHello(ep, h)
+					}, cv)
+					return
+				}
+				check(t, dialCell(t, func() (*shieldd.Client, error) {
+					return shieldd.NewPacketClient(ep, faultnet.Addr("server"), testSecret,
+						shieldd.SessionOptions{Seed: 7, RetryTimeout: 20 * time.Millisecond, MaxRetries: 5})
+				}))
+			})
 		}
 	})
+}
+
+// packetHello runs h through the datagram admission gate of the
+// faultnet "server" as raw handshake datagrams: the cookie-less HELLO
+// must earn only a cookie, and the cookied retry's reply is returned.
+func packetHello(ep *faultnet.Endpoint, h *wire.Hello) (wire.Message, error) {
+	send := func() (wire.Message, error) {
+		frame, err := dgram.Encode(dgram.KindHandshake, h.Encode())
+		if err != nil {
+			return nil, err
+		}
+		if _, err := ep.WriteTo(frame, faultnet.Addr("server")); err != nil {
+			return nil, err
+		}
+		_ = ep.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 2048)
+		n, _, err := ep.ReadFrom(buf)
+		if err != nil {
+			return nil, err
+		}
+		kind, payload, err := dgram.Decode(buf[:n])
+		if err != nil || kind != dgram.KindHandshake {
+			return nil, fmt.Errorf("reply frame kind=%d err=%v", kind, err)
+		}
+		return wire.Decode(payload)
+	}
+	m, err := send()
+	if err != nil {
+		return nil, err
+	}
+	ck, ok := m.(*wire.Cookie)
+	if !ok {
+		return nil, fmt.Errorf("gate answered a cookie-less HELLO with %T, want a cookie", m)
+	}
+	h.Cookie = ck.Cookie
+	return send()
 }
 
 // dialCell runs dial under a watchdog: a matrix cell that hangs fails
@@ -114,31 +186,6 @@ func dialCellErr(t *testing.T, dial func() (*shieldd.Client, error)) dialResult 
 	case <-time.After(15 * time.Second):
 		t.Fatal("handshake hung")
 		return dialResult{}
-	}
-}
-
-// TestMinProtocolRefusesOldServer: a client pinned to MinProtocol=4
-// must refuse to complete a session against a server capped below v4,
-// with the typed downgrade error — the deployment switch that makes
-// forward secrecy mandatory.
-func TestMinProtocolRefusesOldServer(t *testing.T) {
-	srv := newServer(t, shieldd.ServerConfig{MaxProtocol: 3})
-	_, err := srv.Pipe(shieldd.SessionOptions{Seed: 1, MinProtocol: 4})
-	if !errors.Is(err, shieldd.ErrDowngrade) {
-		t.Fatalf("pinned client against v3 server: err = %v, want ErrDowngrade", err)
-	}
-	// The same pin against a current server completes at v4.
-	full := newServer(t, shieldd.ServerConfig{})
-	c, err := full.Pipe(shieldd.SessionOptions{Seed: 1, MinProtocol: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Version() != 4 {
-		t.Fatalf("negotiated v%d, want v4", c.Version())
-	}
-	if c.Resumed() {
-		t.Fatal("fresh session reports itself resumed")
 	}
 }
 

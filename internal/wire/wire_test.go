@@ -19,8 +19,6 @@ func sampleMessages() []Message {
 	akeHello := &Hello{Version: Version, Seed: 3,
 		KeyShare: bytes.Repeat([]byte{0x5A}, 32), Ticket: []byte("resumption-ticket-opaque")}
 	copy(akeHello.Nonce[:], "nonce-akexchange")
-	challenge := &Challenge{}
-	copy(challenge.ServerNonce[:], "srvnonce-9876543")
 	challenge2 := &Challenge2{KeyShare: bytes.Repeat([]byte{0xC3}, 32)}
 	copy(challenge2.ServerNonce[:], "srvnonce2-876543")
 	resumedChallenge2 := &Challenge2{Resumed: true}
@@ -29,7 +27,6 @@ func sampleMessages() []Message {
 		hello,
 		cookieHello,
 		akeHello,
-		challenge,
 		challenge2,
 		resumedChallenge2,
 		&Cookie{Cookie: []byte("mac-over-addr-and-nonce!")},
@@ -118,6 +115,9 @@ func TestDecodeRejectsUnknownKind(t *testing.T) {
 	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("empty decode error = %v", err)
 	}
+	if _, err := Decode(legacyChallenge); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("legacy CHALLENGE decode error = %v, want ErrUnknownKind", err)
+	}
 }
 
 // A lying length prefix inside a message body must not cause a huge
@@ -144,29 +144,6 @@ func TestDecodeRejectsOversizeBatch(t *testing.T) {
 	lyingResp := []byte{KindBatchResp, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, err := Decode(lyingResp); err == nil {
 		t.Fatal("lying batch-resp count accepted")
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	for i, m := range sampleMessages() {
-		id := uint64(i)*0x0101010101 + 7
-		enc := EncodeEnvelope(id, m)
-		gotID, got, err := DecodeEnvelope(enc)
-		if err != nil {
-			t.Fatalf("%T: envelope decode: %v", m, err)
-		}
-		if gotID != id {
-			t.Fatalf("%T: envelope id %d, want %d", m, gotID, id)
-		}
-		if !reflect.DeepEqual(got, m) {
-			t.Fatalf("%T envelope round trip:\n got %+v\nwant %+v", m, got, m)
-		}
-	}
-	if _, _, err := DecodeEnvelope([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("short envelope error = %v, want ErrTruncated", err)
-	}
-	if _, _, err := DecodeEnvelope(make([]byte, 8)); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("empty-message envelope error = %v, want ErrTruncated", err)
 	}
 }
 
@@ -270,7 +247,7 @@ func TestFrameTruncatedPayload(t *testing.T) {
 	}
 }
 
-// TranscriptBytes is the HELLO encoding bound into the v4 handshake
+// TranscriptBytes is the HELLO encoding bound into the handshake
 // transcript: identical for HELLOs that differ only in their cookie
 // (which changes between datagram retransmits), different for any other
 // field.

@@ -14,8 +14,11 @@ import (
 // under overload. Match with errors.Is.
 var ErrServerBusy = shieldd.ErrServerBusy
 
-// ErrProtocolDowngrade reports that the negotiated wire version fell
-// below DialOptions.MinProtocol. Match with errors.Is.
+// ErrProtocolDowngrade reports that a session could not open on the
+// forward-secret wire protocol: the server refused the client's HELLO as
+// an unsupported version, or acked another version — an old server, or
+// an attacker rewriting the handshake. The client never falls back to
+// an older protocol. Match with errors.Is.
 var ErrProtocolDowngrade = shieldd.ErrDowngrade
 
 // ServeOptions configures a shield session server.
@@ -33,8 +36,8 @@ type ServeOptions struct {
 	// MaxExtraIMDs caps the batched multi-IMD size a session may request
 	// (default 8).
 	MaxExtraIMDs int
-	// InFlightPerSession bounds how many pipelined wire-v2 requests one
-	// session may have outstanding (default 16); beyond it, transport
+	// InFlightPerSession bounds how many pipelined requests one session
+	// may have outstanding (default 16); beyond it, transport
 	// backpressure applies.
 	InFlightPerSession int
 	// IdleTimeout, when positive, reaps sessions with no traffic and no
@@ -56,11 +59,7 @@ type ServeOptions struct {
 	// in flight across all sessions; over-budget requests are answered
 	// BUSY instead of queueing.
 	MaxInFlightGlobal int
-	// MaxProtocol caps the wire protocol version the server will
-	// negotiate (0 = highest supported). Setting it below 4 disables the
-	// forward-secret v4 handshake — useful only for staged rollouts.
-	MaxProtocol uint8
-	// TicketLifetime bounds how long a v4 resumption ticket stays
+	// TicketLifetime bounds how long a resumption ticket stays
 	// redeemable (and how often the ticket-sealing key rotates).
 	// Zero means 5 minutes.
 	TicketLifetime time.Duration
@@ -91,7 +90,6 @@ func NewServer(opt ServeOptions) (*Server, error) {
 		HandshakeBurst:     opt.HandshakeBurst,
 		MaxInFlightGlobal:  opt.MaxInFlightGlobal,
 		BusyRetryAfter:     opt.BusyRetryAfter,
-		MaxProtocol:        opt.MaxProtocol,
 		TicketLifetime:     opt.TicketLifetime,
 	})
 	if err != nil {
@@ -116,7 +114,7 @@ type ServerMetrics struct {
 	// dedup caches (the server-side cost of transport loss).
 	TotalRetransmits uint64
 	// TotalProgressFrames counts streamed EXPERIMENT-PROGRESS frames
-	// written to wire-v3 sessions.
+	// written to sessions.
 	TotalProgressFrames uint64
 	BytesSealed         uint64
 	BytesOpened         uint64
@@ -157,8 +155,8 @@ func (s *Server) Serve(l net.Listener) error { return s.s.Serve(l) }
 
 // ServePacket serves datagram sessions from a packet socket (UDP, or
 // any net.PacketConn such as an in-process fault-injection network)
-// until the socket is closed. Datagram sessions speak wire protocol v2
-// with client-side retransmission and server-side request deduplication,
+// until the socket is closed. Datagram sessions speak the same wire
+// protocol as streams, with client-side retransmission and server-side request deduplication,
 // so exchanges complete — and stay deterministic per seed — over links
 // that drop, duplicate, and reorder datagrams.
 func (s *Server) ServePacket(pc net.PacketConn) error { return s.s.ServePacket(pc) }
@@ -193,14 +191,6 @@ type DialOptions struct {
 	// to the session's shared medium; ProtectedExchangeWith addresses
 	// them by index (0 = primary).
 	ExtraIMDs int
-	// Protocol caps the announced wire version (0 = highest supported).
-	// Setting 1 forces a strict request/response v1 session.
-	Protocol uint8
-	// MinProtocol, when nonzero, refuses to complete a session below
-	// that wire version (ErrProtocolDowngrade). Deploy MinProtocol=4 to
-	// pin the forward-secret handshake once every server is upgraded;
-	// the default tolerates older servers, like TLS version fallback.
-	MinProtocol uint8
 	// AutoReconnect makes a dialed session transparently re-dial and
 	// re-handshake after the server's idle reaper (or a network fault)
 	// closes the connection and no requests are in flight. The fresh
@@ -228,8 +218,6 @@ func (o DialOptions) session() shieldd.SessionOptions {
 		DigitalCancel:      o.DigitalCancel,
 		Concerto:           o.Concerto,
 		ExtraIMDs:          o.ExtraIMDs,
-		Protocol:           o.Protocol,
-		MinProtocol:        o.MinProtocol,
 		AutoReconnect:      o.AutoReconnect,
 		RetryTimeout:       o.RetryTimeout,
 		MaxRetries:         o.MaxRetries,
@@ -254,8 +242,8 @@ func Dial(addr string, secret []byte, opt DialOptions) (*RemoteSimulation, error
 }
 
 // DialUDP opens a datagram session with a shield session server's UDP
-// listener. The session speaks wire v2 over one datagram per sealed
-// frame, with transparent client-side retransmission; retry counts are
+// listener. The session speaks the wire protocol over one datagram per
+// sealed frame, with transparent client-side retransmission; retry counts are
 // surfaced in SessionMetrics and TransportStats rather than as errors.
 func DialUDP(addr string, secret []byte, opt DialOptions) (*RemoteSimulation, error) {
 	c, err := shieldd.DialUDP(addr, secret, opt.session())
@@ -357,7 +345,7 @@ type BatchItem struct {
 }
 
 // ProtectedExchangeBatch runs up to 256 protected exchanges in one
-// sealed round trip (the wire-v2 BATCH-EXCHANGE), amortizing sealing
+// sealed round trip (the wire BATCH-EXCHANGE), amortizing sealing
 // and framing. Results arrive in item order and are identical to the
 // same items run as individual ProtectedExchangeWith calls.
 func (r *RemoteSimulation) ProtectedExchangeBatch(items []BatchItem) ([]ExchangeReport, error) {
@@ -381,8 +369,8 @@ func (r *RemoteSimulation) ProtectedExchangeBatch(items []BatchItem) ([]Exchange
 	return reports, nil
 }
 
-// Ping sends a keepalive probe; on a wire-v2 session the server answers
-// ahead of any queued scenario work and the probe resets the idle-reap
+// Ping sends a keepalive probe; the server answers ahead of any queued
+// scenario work and the probe resets the idle-reap
 // clock.
 func (r *RemoteSimulation) Ping() error { return r.c.Ping() }
 
@@ -418,7 +406,7 @@ type SessionMetrics struct {
 	// load-shedding gate.
 	Shed uint64
 	// ProgressFrames counts streamed EXPERIMENT-PROGRESS frames the
-	// server wrote to this session (wire v3; always 0 on v1/v2).
+	// server wrote to this session.
 	ProgressFrames uint64
 	// ClientRetransmits and ClientTimeouts are the client-side retry
 	// counters (local, not from the wire): request datagrams re-sent,
@@ -472,7 +460,7 @@ type TransportStats struct {
 	// every retransmission.
 	Timeouts uint64
 	// ProgressFrames is the number of streamed EXPERIMENT-PROGRESS
-	// frames received (wire v3 sessions only).
+	// frames received.
 	ProgressFrames uint64
 }
 
@@ -521,10 +509,8 @@ type ExperimentProgress struct {
 
 // RunExperimentStream runs a registry experiment server-side, invoking
 // onProgress with incremental trial-completion reports while it runs,
-// and returns the rendered table/figure. Streaming requires a wire-v3
-// session; on older sessions the experiment still runs, the answer
-// arrives in one frame, and onProgress is never called. onProgress runs
-// on the session's read loop: it must return quickly and must not call
+// and returns the rendered table/figure. onProgress runs on the
+// session's read loop: it must return quickly and must not call
 // back into this session synchronously. The rendered result is
 // byte-identical to RunExperiment with the same configuration.
 func (r *RemoteSimulation) RunExperimentStream(name string, cfg ExperimentConfig, onProgress func(ExperimentProgress)) (string, error) {
