@@ -88,6 +88,32 @@ func TestPacketSessionOverRealUDP(t *testing.T) {
 	}
 }
 
+// Datagram sessions are wire-v4 only: a v1 HELLO that passes the
+// cookie round must be refused with a plaintext error naming the
+// version the server speaks.
+func TestPacketRefusesV1(t *testing.T) {
+	nw := faultnet.New(2, faultnet.Impairment{})
+	defer nw.Close()
+	startPacketServer(t, nw, "server", shieldd.ServerConfig{})
+
+	pc, err := nw.Listen("v1-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pc.Close()
+	m, err := packetHello(pc, &wire.Hello{Version: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := m.(*wire.Error)
+	if !ok {
+		t.Fatalf("server answered a v1 HELLO with %T, want a plaintext Error", m)
+	}
+	if e.Code != wire.CodeUnsupportedVersion || !strings.Contains(e.Msg, "v4") {
+		t.Fatalf("v1 refusal = %+v", e)
+	}
+}
+
 // Batched exchanges, metrics, and experiments must all work over the
 // datagram transport, and the metrics frame must carry the securelink
 // window counters.

@@ -2,8 +2,11 @@ package shieldd_test
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"os"
 	"testing"
+	"time"
 
 	"heartshield/internal/securelink"
 	"heartshield/internal/shieldd"
@@ -130,5 +133,37 @@ func TestServerNonceIsFresh(t *testing.T) {
 	}
 	if bytes.Equal(a.KeyShare, b.KeyShare) {
 		t.Fatal("server reused its ephemeral key share for identical HELLOs")
+	}
+}
+
+// A pre-v4 client no longer gets the legacy Challenge: its HELLO earns a
+// plaintext CodeUnsupportedVersion error, after which the server closes
+// the stream without sending anything else.
+func TestServerLegacyChallenge(t *testing.T) {
+	srv := newServer(t, shieldd.ServerConfig{})
+	hello := (&wire.Hello{Version: 3, Seed: 1}).Encode()
+	cEnd, sEnd := net.Pipe()
+	go srv.ServeConn(sEnd)
+	defer cEnd.Close()
+	_ = cEnd.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(cEnd, hello); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := wire.ReadFrame(cEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wire.Decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := m.(*wire.Error)
+	if !ok || e.Code != wire.CodeUnsupportedVersion {
+		t.Fatalf("first server frame for a v3 HELLO is %T %+v, want a CodeUnsupportedVersion Error", m, m)
+	}
+	if raw, err := wire.ReadFrame(cEnd); err == nil {
+		t.Fatalf("server sent a frame after refusing a v3 HELLO: % x", raw)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the stream open after refusing a v3 HELLO")
 	}
 }
