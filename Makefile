@@ -47,6 +47,12 @@
 #   make docs-check   - documentation gate: every relative markdown link in
 #                       the top-level docs must resolve, and the README
 #                       quickstart commands must actually run
+#   make loc          - non-test Go line count (every line of every tracked
+#                       *.go file that is not a _test.go), the root module and
+#                       the heartbench module separately; LOC_REV=<commit>
+#                       counts that commit instead of the working tree, so a
+#                       change's net count is `make loc` minus
+#                       `make loc LOC_REV=HEAD~1` (git add new files first)
 #   make cover        - coverage profile over the protocol stack (securelink +
 #                       wire + dgram), printing the combined total
 #   make covercheck   - CI coverage gate: fail if the combined securelink+wire
@@ -126,7 +132,7 @@ NIGHTLY_FUZZ_TARGETS = \
 COVER_PKGS = heartshield/internal/securelink,heartshield/internal/wire,heartshield/internal/wire/dgram
 COVER_TEST_PKGS = ./internal/securelink ./internal/securelink/sectest ./internal/wire/... ./internal/shieldd ./internal/faultnet
 
-.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci bench benchcheck benchbaseline benchsmoke sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
+.PHONY: all build test vet fmt staticcheck staticcheck-install race fuzz fuzz-nightly chaos-soak loadcheck seccheck ci loc bench benchcheck benchbaseline benchsmoke sim golden golden-check trial-check docs-check cover covercheck coverbaseline clean
 
 # The markdown files the docs gate link-checks.
 DOCS_FILES = README.md DESIGN.md EXPERIMENTS.md ROADMAP.md CHANGES.md PAPER.md
@@ -270,6 +276,19 @@ docs-check:
 	$(GO) run ./cmd/shieldsim -impair "drop=0.1,dup=0.05,reorder=0.05" -exchanges 16 -pipeline >/dev/null 2>&1
 	$(GO) run ./cmd/shieldtest -daemons 2 -sessions 16 -workers 8 -o /dev/null >/dev/null
 	@echo "docs-check ok"
+
+# loc counts with git: the working tree's tracked files, or LOC_REV's.
+loc:
+	@count() { \
+		if [ -n "$(LOC_REV)" ]; then git grep -h -c '' $(LOC_REV) -- "$$@" | awk '{s+=$$1} END {print s+0}'; \
+		else git ls-files -z -- "$$@" | xargs -0 cat | wc -l; fi; \
+	}; \
+	root=$$(count '*.go' ':!:*_test.go' ':!:heartbench'); \
+	bench=$$(count 'heartbench/*.go' ':!:heartbench/*_test.go'); \
+	echo "non-test Go lines$(if $(LOC_REV), at $(LOC_REV)):"; \
+	echo "  root module: $$root"; \
+	echo "  heartbench:  $$bench"; \
+	echo "  total:       $$((root + bench))"
 
 golden:
 	$(GO) test -run TestGoldenExperimentOutputs -update .

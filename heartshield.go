@@ -93,24 +93,7 @@ func NewSimulation(opt SimOptions) *Simulation {
 	}
 	sc := testbed.NewScenario(tOpt)
 	sc.CalibrateShieldRSSI()
-	cfo := testbed.IMDCFOHz
-	return &Simulation{
-		sc: sc,
-		eaves: &adversary.Eavesdropper{
-			Antenna: testbed.AntEavesdropper,
-			Medium:  sc.Medium,
-			RX:      sc.EavesRX,
-			Modem:   sc.FSK,
-			CFOHint: &cfo,
-		},
-		adv: &adversary.Active{
-			Antenna: testbed.AntAdversary,
-			Medium:  sc.Medium,
-			TX:      sc.AdvTX,
-			RX:      sc.AdvRX,
-			Modem:   sc.FSK,
-		},
-	}
+	return &Simulation{sc: sc, eaves: sc.NewEavesdropper(), adv: sc.NewActiveAdversary()}
 }
 
 // Location returns the adversary/eavesdropper placement in use.

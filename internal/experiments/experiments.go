@@ -192,14 +192,14 @@ func calibrate(sc *testbed.Scenario) struct{} {
 // calibration plus the standard eavesdropper.
 func calibrateEaves(sc *testbed.Scenario) *adversary.Eavesdropper {
 	sc.CalibrateShieldRSSI()
-	return newEaves(sc)
+	return sc.NewEavesdropper()
 }
 
 // calibrateActive preps a scenario for attack trials: calibration plus
 // the standard active adversary.
 func calibrateActive(sc *testbed.Scenario) *adversary.Active {
 	sc.CalibrateShieldRSSI()
-	return newActive(sc)
+	return sc.NewActiveAdversary()
 }
 
 // parallelMap runs fn(i) for i in [0, n) across w workers and returns the
@@ -234,31 +234,6 @@ func parallelMap[T any](w, n int, fn func(int) T) []T {
 	}
 	wg.Wait()
 	return out
-}
-
-// newActive builds the standard active adversary for a scenario.
-func newActive(sc *testbed.Scenario) *adversary.Active {
-	return &adversary.Active{
-		Antenna: testbed.AntAdversary,
-		Medium:  sc.Medium,
-		TX:      sc.AdvTX,
-		RX:      sc.AdvRX,
-		Modem:   sc.FSK,
-	}
-}
-
-// newEaves builds the standard eavesdropper for a scenario: genie timing
-// plus perfect knowledge of the IMD's carrier offset — the strongest
-// single-antenna adversary the threat model admits.
-func newEaves(sc *testbed.Scenario) *adversary.Eavesdropper {
-	cfo := testbed.IMDCFOHz
-	return &adversary.Eavesdropper{
-		Antenna: testbed.AntEavesdropper,
-		Medium:  sc.Medium,
-		RX:      sc.EavesRX,
-		Modem:   sc.FSK,
-		CFOHint: &cfo,
-	}
 }
 
 // activeTrialOutcome is the result of one unauthorized-command attempt.

@@ -73,8 +73,8 @@ type SessionOptions struct {
 	// the next request re-handshakes. The new session derives fresh keys
 	// from fresh nonces; the deterministic result stream restarts at the
 	// session seed. Only effective for clients created with Dial or
-	// DialUDP, or given a redial function (a pipe/NewClient client has
-	// nothing to re-dial).
+	// DialUDP, or with NewPacketClient and a RedialPacket (a
+	// pipe/NewClient client has nothing to re-dial).
 	AutoReconnect bool
 
 	// RedialPacket supplies fresh packet transports for AutoReconnect on
@@ -294,12 +294,10 @@ func (call *Call) Wait() (wire.Message, error) {
 type Client struct {
 	opt    SessionOptions
 	secret []byte
-	redial func() (net.Conn, error) // nil unless created by Dial
-	// redialPacket re-creates the packet transport for datagram
-	// reconnects: a fresh local socket (the old one may be poisoned or
-	// its server-side peer state reaped) aimed at the same server.
-	redialPacket func() (net.PacketConn, net.Addr, error)
-	retry        *retrier // nil unless on a datagram transport
+	// connect opens a fresh transport and handshakes on it for
+	// AutoReconnect; nil when the client has nothing to re-dial.
+	connect connectFunc
+	retry   *retrier // nil unless on a datagram transport
 
 	// backoff is the deterministic jitter source for BUSY retry delays,
 	// keyed off the session seed so overload behaviour replays exactly.
@@ -333,8 +331,8 @@ type Client struct {
 	pending map[uint64]*Call
 	// ackCum is the highest request ID through which every response has
 	// been delivered; ackAbove holds delivered response IDs above a gap.
-	// Sent in every request envelope so the server can prune its dedup
-	// ledger.
+	// Sent in every request envelope so the server can prune its answer
+	// cache.
 	ackCum   uint64
 	ackAbove map[uint64]struct{}
 	err      error // sticky transport error
@@ -351,38 +349,114 @@ func (o SessionOptions) sendWindow() int {
 	return defaultSendWindow
 }
 
+// connectFunc opens a fresh transport and runs the session handshake on
+// it, offering resume when non-nil. On error it leaves nothing open.
+type connectFunc func(resume *resumeState) (transportConn, hsResult, error)
+
 // Dial opens a TCP session with a shieldd server.
 func Dial(addr string, secret []byte, opt SessionOptions) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewClient(conn, secret, opt)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	c.redial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	return c, nil
+	return open(secret, opt, func(resume *resumeState) (transportConn, hsResult, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, hsResult{}, err
+		}
+		return closeOnError(streamSession(conn, secret, opt, resume))
+	})
 }
 
 // NewClient runs the session handshake over an established stream
 // transport.
 func NewClient(conn net.Conn, secret []byte, opt SessionOptions) (*Client, error) {
-	hs, err := handshake(conn, secret, opt, nil)
+	tc, hs, err := streamSession(conn, secret, opt, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := newClient(&streamConn{c: conn}, secret, opt, hs)
-	go c.readLoop(c.tc, hs.link)
-	return c, nil
+	return newClient(tc, secret, opt, hs, nil), nil
 }
 
-// newClient builds a client around a completed handshake on tc.
-func newClient(tc transportConn, secret []byte, opt SessionOptions, hs hsResult) *Client {
-	return &Client{
+// DialUDP opens a datagram session with a shieldd server's UDP
+// listener: a dedicated local UDP socket, the datagram handshake
+// (with retransmits), and the client-side reliability layer. Every
+// reconnect opens a fresh local socket.
+func DialUDP(addr string, secret []byte, opt SessionOptions) (*Client, error) {
+	raddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return open(secret, opt, func(resume *resumeState) (transportConn, hsResult, error) {
+		pc, err := net.ListenPacket("udp", ":0")
+		if err != nil {
+			return nil, hsResult{}, err
+		}
+		return closeOnError(packetSession(pc, raddr, secret, opt, resume))
+	})
+}
+
+// NewPacketClient runs the datagram session handshake over an
+// established packet socket (UDP, or an in-process faultnet endpoint)
+// against the server at peer. The client becomes the socket's sole
+// reader, and every request is tracked by the retransmit layer: loss is
+// retried transparently and surfaced in TransportStats rather than as
+// errors, until MaxRetries is exhausted. Reconnects go through
+// opt.RedialPacket.
+func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions) (*Client, error) {
+	tc, hs, err := packetSession(pc, peer, secret, opt, nil)
+	if err != nil {
+		return nil, err
+	}
+	var connect connectFunc
+	if opt.RedialPacket != nil {
+		connect = func(resume *resumeState) (transportConn, hsResult, error) {
+			pc, peer, err := opt.RedialPacket()
+			if err != nil {
+				return nil, hsResult{}, err
+			}
+			return closeOnError(packetSession(pc, peer, secret, opt, resume))
+		}
+	}
+	return newClient(tc, secret, opt, hs, connect), nil
+}
+
+// open runs connect for the first session and keeps it as the client's
+// reconnect path.
+func open(secret []byte, opt SessionOptions, connect connectFunc) (*Client, error) {
+	tc, hs, err := connect(nil)
+	if err != nil {
+		return nil, err
+	}
+	return newClient(tc, secret, opt, hs, connect), nil
+}
+
+// streamSession runs the stream handshake over conn.
+func streamSession(conn net.Conn, secret []byte, opt SessionOptions, resume *resumeState) (transportConn, hsResult, error) {
+	hs, err := handshake(conn, secret, opt, resume)
+	return &streamConn{c: conn}, hs, err
+}
+
+// packetSession runs the datagram handshake over pc against peer.
+func packetSession(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions, resume *resumeState) (transportConn, hsResult, error) {
+	dc := dgram.NewConn(pc, peer)
+	hs, err := packetHandshake(dc, secret, opt, resume)
+	return &packetTC{fc: dc}, hs, err
+}
+
+// closeOnError closes a transport a connectFunc opened if its handshake
+// failed.
+func closeOnError(tc transportConn, hs hsResult, err error) (transportConn, hsResult, error) {
+	if err != nil {
+		tc.close()
+		return nil, hs, err
+	}
+	return tc, hs, nil
+}
+
+// newClient starts a client on a completed handshake over tc: the
+// session reader, plus the retransmit layer on datagram transports.
+func newClient(tc transportConn, secret []byte, opt SessionOptions, hs hsResult, connect connectFunc) *Client {
+	c := &Client{
 		opt:       opt,
 		secret:    secret,
+		connect:   connect,
 		tc:        tc,
 		link:      hs.link,
 		sessionID: hs.sessionID,
@@ -395,55 +469,12 @@ func newClient(tc transportConn, secret []byte, opt SessionOptions, hs hsResult)
 		window:    make(chan struct{}, opt.sendWindow()),
 		backoff:   stats.NewRNG(stats.DeriveSeed(opt.Seed, "client-busy-backoff")),
 	}
-}
-
-// DialUDP opens a datagram session with a shieldd server's UDP
-// listener: a dedicated local UDP socket, the datagram handshake
-// (with retransmits), and the client-side reliability layer.
-func DialUDP(addr string, secret []byte, opt SessionOptions) (*Client, error) {
-	raddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
+	if tc.unreliable() {
+		c.retry = newRetrier(c, opt.RetryTimeout, opt.MaxRetries)
+		go c.retry.run()
 	}
-	pc, err := net.ListenPacket("udp", ":0")
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewPacketClient(pc, raddr, secret, opt)
-	if err != nil {
-		pc.Close()
-		return nil, err
-	}
-	if c.redialPacket == nil {
-		c.redialPacket = func() (net.PacketConn, net.Addr, error) {
-			npc, err := net.ListenPacket("udp", ":0")
-			if err != nil {
-				return nil, nil, err
-			}
-			return npc, raddr, nil
-		}
-	}
-	return c, nil
-}
-
-// NewPacketClient runs the datagram session handshake over an
-// established packet socket (UDP, or an in-process faultnet endpoint)
-// against the server at peer. The client becomes the socket's sole
-// reader, and every request is tracked by the retransmit layer: loss is
-// retried transparently and surfaced in TransportStats rather than as
-// errors, until MaxRetries is exhausted.
-func NewPacketClient(pc net.PacketConn, peer net.Addr, secret []byte, opt SessionOptions) (*Client, error) {
-	dc := dgram.NewConn(pc, peer)
-	hs, err := packetHandshake(dc, secret, opt, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := newClient(&packetTC{fc: dc}, secret, opt, hs)
-	c.redialPacket = opt.RedialPacket
-	c.retry = newRetrier(c, opt.RetryTimeout, opt.MaxRetries)
-	go c.retry.run()
-	go c.readLoop(c.tc, hs.link)
-	return c, nil
+	go c.readLoop(tc, hs.link)
+	return c
 }
 
 // packetHandshake performs HELLO → COOKIE → HELLO(cookie) → CHALLENGE2
@@ -731,7 +762,7 @@ func (c *Client) readLoop(tc transportConn, link *securelink.Link) {
 
 // recordDelivered advances the cumulative-delivery cursor over a freshly
 // delivered response ID. Callers hold c.mu. The cursor rides in every
-// request envelope, letting the server prune its dedup ledger.
+// request envelope, letting the server prune its answer cache.
 func (c *Client) recordDelivered(id uint64) {
 	if id <= c.ackCum {
 		return
@@ -828,7 +859,7 @@ func (c *Client) TransportStats() TransportStats {
 
 // reconnect re-dials and re-handshakes after a transport failure.
 // Requires: no pending calls (their responses died with the old
-// session), a redial function, and AutoReconnect. The dial and
+// session), a connect path, and AutoReconnect. The dial and
 // handshake run WITHOUT holding c.mu — a slow or dead network must not
 // freeze getters or other callers — and reconnMu serializes concurrent
 // attempts so only one handshake ever runs at a time.
@@ -845,12 +876,11 @@ func (c *Client) reconnect() error {
 		c.mu.Unlock()
 		return nil // a concurrent attempt already restored the session
 	}
-	if !c.opt.AutoReconnect || (c.redial == nil && c.redialPacket == nil) || len(c.pending) > 0 {
+	if !c.opt.AutoReconnect || c.connect == nil || len(c.pending) > 0 {
 		err := c.err
 		c.mu.Unlock()
 		return err
 	}
-	isPacket := c.retry != nil
 	// Offer the dead session's resumption ticket: after an idle reap the
 	// new handshake completes in one round trip on resumed forward-secret
 	// keys instead of a fresh DH. A refused or expired ticket silently
@@ -862,43 +892,13 @@ func (c *Client) reconnect() error {
 	c.mu.Unlock()
 
 	// While c.err != nil every new request routes here and queues on
-	// reconnMu, so no one mutates tc/link/pending behind our back.
-	var tc transportConn
-	var hs hsResult
-	if isPacket {
-		// Datagram reconnect: a fresh local socket (the server may have
-		// reaped this address's peer entry, and a fresh source port makes
-		// the new handshake unambiguous), then the full cookie + HELLO
-		// retransmit schedule against the same server address.
-		if c.redialPacket == nil {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return err
-		}
-		pc, peer, err := c.redialPacket()
-		if err != nil {
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		dc := dgram.NewConn(pc, peer)
-		hs, err = packetHandshake(dc, c.secret, c.opt, resume)
-		if err != nil {
-			dc.Close()
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		tc = &packetTC{fc: dc}
-	} else {
-		conn, err := c.redial()
-		if err != nil {
-			return fmt.Errorf("shieldd: reconnect: %w", err)
-		}
-		var err2 error
-		hs, err2 = handshake(conn, c.secret, c.opt, resume)
-		if err2 != nil {
-			conn.Close()
-			return fmt.Errorf("shieldd: reconnect: %w", err2)
-		}
-		tc = &streamConn{c: conn}
+	// reconnMu, so no one mutates tc/link/pending behind our back. A
+	// datagram reconnect gets a fresh local socket: the server may have
+	// reaped this address's peer entry, and a fresh source port makes
+	// the new handshake unambiguous.
+	tc, hs, err := c.connect(resume)
+	if err != nil {
+		return fmt.Errorf("shieldd: reconnect: %w", err)
 	}
 
 	c.mu.Lock()
@@ -915,9 +915,9 @@ func (c *Client) reconnect() error {
 	if hs.resumed {
 		c.resumes++
 	}
-	// The new session is a fresh request-ID space: the server's
-	// resequencer cursor and dedup ledger start empty, so ID allocation
-	// and the delivery cursor restart with them.
+	// The new session is a fresh request-ID space: the server's request
+	// ledger starts empty, so ID allocation and the delivery cursor
+	// restart with it.
 	c.nextID = 1
 	c.ackCum = 0
 	c.ackAbove = make(map[uint64]struct{})
@@ -1007,7 +1007,7 @@ func (c *Client) submit(call *Call) *Call {
 		c.mu.Unlock()
 
 		// The cumulative-delivery cursor rides in every request so the
-		// server can prune its dedup ledger. Retransmits reuse the
+		// server can prune its answer cache. Retransmits reuse the
 		// envelope verbatim — a stale cursor only delays pruning.
 		env := wire.EncodeEnvelopeV3(id, 0, cum, req)
 		// Seal+write as one unit so frames hit the transport in seq order.
@@ -1049,7 +1049,7 @@ func (c *Client) submit(call *Call) *Call {
 // request is transparently retried with a fresh request ID after a
 // deterministic jittered backoff honoring the server's retry-after
 // hint; the retry budget reuses MaxRetries. A fresh ID is load-bearing:
-// on datagram transports the shed response is dedup-cached under the
+// the shed response is cached in the server's request ledger under the
 // old ID, so re-sending it verbatim could only ever replay the BUSY.
 func (c *Client) roundTrip(req wire.Message) (wire.Message, error) {
 	tries := c.opt.MaxRetries

@@ -6,7 +6,7 @@
 // and datagrams (UDP via ServePacket, or any net.PacketConn such as the
 // internal/faultnet impairment network), where loss, duplication, and
 // reordering are handled by client retransmission, the securelink
-// receive window, and server-side request deduplication.
+// receive window, and a per-session request ledger.
 //
 // Every session is an independent simulated world: its own medium,
 // devices, and random streams, all derived from the session seed the
@@ -23,8 +23,8 @@
 // client pipelines requests, and the server completes them out of order
 // under a bounded in-flight window. Scenario-mutating requests
 // (EXCHANGE, BATCH-EXCHANGE, ATTACK) are executed strictly in request-ID
-// order by a per-session executor — a resequencer buffers arrivals above
-// a loss-induced gap, so one lost datagram delays only itself, and the
+// order by a per-session executor — the request ledger holds arrivals
+// above a loss-induced gap, so one lost datagram delays only itself, and the
 // deterministic (seed, request sequence) → results contract holds under
 // pipelining — while PING, STATUS, STATUS-METRICS, and EXPERIMENT
 // requests complete independently and may overtake them; EXPERIMENT
@@ -795,7 +795,7 @@ func (s *Server) startReaper(tc transportConn, lastActivity *atomic.Int64, busy 
 
 // envelope pairs a request ID with the message that answers (or asks)
 // it, plus its frame roles: partial marks a streamed non-final
-// response (EnvPartial on the wire, never recorded in the dedup
+// response (EnvPartial on the wire, never recorded in the request
 // ledger), and last marks the final frame of the session (the BYE
 // response) — after flushing it the writer closes the transport to
 // wake the reader into teardown.
@@ -808,12 +808,12 @@ type envelope struct {
 
 // serveSession is the session loop. Three roles share the connection:
 //
-//   - this goroutine (the reader) owns link.Open, classifies requests,
-//     and enforces the in-flight window;
+//   - this goroutine (the reader) owns link.Open, claims request IDs in
+//     the session's ledger, and enforces the in-flight window;
 //   - a per-session executor goroutine runs scenario-mutating requests
-//     one at a time in request-ID order (the resequencer restores ID
-//     order under datagram loss/reordering, which is what makes
-//     pipelined submission deterministic);
+//     one at a time in request-ID order (the ledger restores ID order
+//     under datagram loss/reordering, which is what makes pipelined
+//     submission deterministic);
 //   - a writer goroutine owns link.Seal and conn writes, so responses
 //     from the executor, experiment goroutines, and the reader's own
 //     fast-path replies interleave safely.
@@ -822,30 +822,24 @@ type envelope struct {
 // been handed to the writer, so once the reader can claim every slot the
 // session is quiescent and the channels can be torn down safely.
 //
-// Three mechanisms keep requests ordered and the server informed:
+// Every request ID passes the ledger (ledger.go) on every transport:
 //
-//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) pass through the
-//     resequencer before the executor, so an op that arrives above a
-//     lost datagram waits in the reorder buffer instead of executing
-//     early, and duplicates are recognized before consuming a window
+//   - the reader claims an ID before it takes a window slot, so a
+//     retransmit or a reused ID is dropped or answered again from the
+//     answer cache without executing anything and without consuming a
 //     slot (a gap-stalled window must never wedge the reader);
-//   - every response envelope carries the server's cumulative-progress
-//     report, and the client's report prunes the dedup ledger;
+//   - ordered requests (EXCHANGE, BATCH, ATTACK, BYE) are submitted and
+//     reach the executor in ID order; every other ID is skipped past;
+//   - every response envelope carries the ledger's cumulative-progress
+//     report, and the client's report prunes the answer cache;
 //   - EXPERIMENT requests stream EnvPartial EXPERIMENT-PROGRESS frames
-//     while they run; partials bypass the dedup ledger so the final
-//     answer still completes the request.
+//     while they run; partials are never cached, so the final answer
+//     still completes the request.
 //
-// On an unreliable transport two more rules apply, which together give
-// exactly-once execution over an at-least-once network:
-//
-//   - securelink Open failures drop the datagram and keep reading (loss,
-//     duplication, and reordering are the transport's normal behaviour,
-//     not a compromise);
-//   - request IDs are deduplicated: a retransmitted request that is
-//     still executing is dropped, and one that already completed is
-//     answered again from the response cache without touching the
-//     scenario — re-execution would fork the deterministic per-seed
-//     result stream.
+// The transports differ in one rule: on an unreliable transport a
+// securelink Open failure drops the datagram and keeps reading (loss,
+// duplication, and reordering are the transport's normal behaviour, not
+// a compromise); on a stream it tears the session down.
 //
 // BYE is sequenced like any ordered op: the executor answers it only
 // after every lower ID has executed, drains the rest of the window, and
@@ -858,31 +852,32 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	exec := make(chan envelope, window)  // scenario ops, execution order
 	out := make(chan envelope, window+1) // responses to the writer
 	writerDone := make(chan struct{})
-	var dedup *dedupState
-	if tc.unreliable() {
-		dedup = newDedupState()
-	}
-	rs := newResequencer()
+	led := newLedger()
 	// dying closes when no further frame can ever be sent (the final BYE
 	// response was flushed, or the transport broke): the reader stops
-	// waiting for window slots — which may be held hostage by a reorder
-	// buffer whose gap can now never be filled — and falls through to
+	// waiting for window slots — which may be held hostage by requests
+	// held on a gap that can now never be filled — and falls through to
 	// its read error.
 	dying := make(chan struct{})
 	var dyingOnce sync.Once
 	die := func() { dyingOnce.Do(func() { close(dying) }) }
 	// stopExec tells the executor the session is tearing down: discard
-	// the reorder buffer (releasing its window slots) and drain exec
+	// the held requests (releasing their window slots) and drain exec
 	// without executing.
 	stopExec := make(chan struct{})
 
+	// free releases one request's window slot.
+	free := func() {
+		sess.met.LeaveFlight()
+		<-slots
+	}
+
 	// Writer: sole owner of link.Seal and transport writes. On a write
 	// error it closes the transport (waking the reader) and keeps
-	// draining so no producer ever blocks forever. On unreliable
-	// transports it also records every final response in the dedup
-	// ledger before sending, so a retransmitted request can be
-	// re-answered; partial frames are never recorded (a cached partial
-	// would block the final answer forever).
+	// draining so no producer ever blocks forever. It records every
+	// final response in the ledger before sending, so a retransmitted
+	// request can be re-answered, and takes the frame's cumulative-
+	// progress report from it.
 	go func() {
 		defer close(writerDone)
 		broken := false
@@ -893,14 +888,12 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 				}
 				continue
 			}
-			if dedup != nil && !e.partial {
-				dedup.complete(e.id, e.msg)
-			}
+			cum := led.complete(e)
 			var flags uint8
 			if e.partial {
 				flags = wire.EnvPartial
 			}
-			if err := tc.writeFrame(link.Seal(wire.EncodeEnvelopeV3(e.id, flags, rs.cum(), e.msg))); err != nil {
+			if err := tc.writeFrame(link.Seal(wire.EncodeEnvelopeV3(e.id, flags, cum, e.msg))); err != nil {
 				broken = true
 				tc.close()
 				die()
@@ -920,7 +913,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	}()
 
 	// Executor: scenario-mutating requests one at a time, in the order
-	// the resequencer released them onto exec. Every envelope on exec
+	// the ledger released them onto exec. Every envelope on exec
 	// except the BYE holds one slot of the global work budget, released
 	// as soon as the scenario work is done.
 	go func() {
@@ -931,9 +924,8 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			case <-stop:
 				stop = nil
 				discard = true
-				for range rs.discard() {
-					sess.met.LeaveFlight()
-					<-slots
+				for range led.discard() {
+					free()
 				}
 			case e, ok := <-exec:
 				if !ok {
@@ -941,14 +933,12 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 				}
 				if _, isBye := e.msg.(*wire.Bye); isBye {
 					// Ordered ops below the BYE have all executed (it was
-					// sequenced); anything buffered above it never will.
-					for range rs.discard() {
-						sess.met.LeaveFlight()
-						<-slots
+					// sequenced); anything held above it never will.
+					for range led.discard() {
+						free()
 					}
 					if discard {
-						sess.met.LeaveFlight()
-						<-slots
+						free()
 						continue
 					}
 					// Drain every other in-flight request (experiments,
@@ -982,15 +972,13 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 				}
 				if discard {
 					s.releaseWork()
-					sess.met.LeaveFlight()
-					<-slots
+					free()
 					continue
 				}
 				resp := s.dispatchScenario(sess, e.msg)
 				s.releaseWork()
 				out <- envelope{id: e.id, msg: resp}
-				sess.met.LeaveFlight()
-				<-slots
+				free()
 			}
 		}
 	}()
@@ -1012,13 +1000,12 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			sess.met.Errors.Add(1)
 		}
 		out <- envelope{id: id, msg: m}
-		sess.met.LeaveFlight()
-		<-slots
+		free()
 	}
 
-	// release hands resequenced ordered requests to the executor. Global
-	// load shedding happens at release time — a request buffered behind
-	// a gap must not sit on server-wide work budget while it waits. The
+	// release hands sequenced ordered requests to the executor. Global
+	// load shedding happens at release time — a request held on a gap
+	// must not sit on server-wide work budget while it waits. The
 	// BYE response must be the session's last frame, so it ends the
 	// window: a well-behaved client gives BYE its highest ID, and
 	// anything released after it came from a misbehaving peer and is
@@ -1028,8 +1015,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 	release := func(rel []envelope) {
 		for _, e := range rel {
 			if byeSeen {
-				sess.met.LeaveFlight()
-				<-slots
+				free()
 				continue
 			}
 			if _, isBye := e.msg.(*wire.Bye); isBye {
@@ -1057,64 +1043,40 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 
 	// Idle reaper: "busy" means a request holds a window slot for live
 	// work — long experiments and deep pipelines are never reaped
-	// mid-work. Slots held by the reorder buffer do NOT count: a client
+	// mid-work. Slots of requests held on a gap do NOT count: a client
 	// that died with a gap outstanding leaves them held forever, and the
 	// session must still be reapable.
 	var lastActivity atomic.Int64
 	lastActivity.Store(time.Now().UnixNano())
 	defer s.startReaper(tc, &lastActivity, func() bool {
-		return len(slots)-rs.pending() > 0
+		return len(slots)-led.pending() > 0
 	})()
 
-	// handle classifies one authenticated plaintext. Every request ID
-	// passes the resequencer exactly once: ordered requests enter it, and
-	// every other ID is skipped past so ordered requests above it can
-	// run.
+	// handle classifies one authenticated plaintext. Every claimed ID
+	// passes the ledger's sequencing exactly once: ordered requests are
+	// submitted, and every other ID is skipped past so ordered requests
+	// above it can run.
 	handle := func(plain []byte) {
 		id, flags, cum, req, err := wire.DecodeEnvelopeV3(plain)
 		if err == nil && flags != 0 {
-			req, err = nil, wire.ErrInvalid // a client never sends a partial
+			err = wire.ErrInvalid // a client never sends a partial
 		}
-		if err != nil {
-			// Authentic but malformed: answer (id 0 if the envelope was
-			// too short to carry one) and keep the session. The ID must
-			// still move the resequencer cursor, or every later ordered
-			// op would wait on it forever.
-			if id != 0 && dedup != nil {
-				if fresh, cached := dedup.claim(id); !fresh {
-					if cached != nil {
-						sess.met.Retransmits.Add(1)
-						s.met.TotalRetransmits.Add(1)
-						out <- envelope{id: id, msg: cached}
-					}
-					return
-				}
+		// An authentic but malformed envelope is answered with an error
+		// and keeps the session. One too short to carry an ID is answered
+		// as id 0 without entering the ledger; any other ID is claimed
+		// like a request, so its answer is cached and it moves the cursor
+		// (every later ordered op would otherwise wait on it forever).
+		if err == nil || id != 0 {
+			fresh, cached := led.claim(id, cum)
+			if cached != nil {
+				// Already answered: the response was lost, or the peer
+				// reused a spent ID — re-send the answer without
+				// executing anything.
+				sess.met.Retransmits.Add(1)
+				s.met.TotalRetransmits.Add(1)
+				out <- envelope{id: id, msg: cached}
 			}
-			if !takeSlot() {
-				return
-			}
-			sess.met.EnterFlight()
-			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"})
-			if id != 0 {
-				release(rs.skip(id))
-			}
-			return
-		}
-		if dedup != nil {
-			dedup.prune(cum)
-			fresh, cached := dedup.claim(id)
 			if !fresh {
-				if cached != nil {
-					// Already answered: the response datagram was lost —
-					// re-send it without re-executing anything.
-					sess.met.Retransmits.Add(1)
-					s.met.TotalRetransmits.Add(1)
-					out <- envelope{id: id, msg: cached}
-				}
-				// Still executing (or buffered): drop the duplicate; the
-				// original's response is coming. No window slot was
-				// consumed, so retransmits into a gap-stalled window can
-				// never wedge the reader.
 				return
 			}
 		}
@@ -1127,19 +1089,26 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 			return
 		}
 		sess.met.EnterFlight()
-		switch m := req.(type) {
-		case *wire.ExchangeReq, *wire.BatchReq, *wire.AttackReq, *wire.Bye:
+		if err != nil {
+			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "malformed request"})
+			if id != 0 {
+				release(led.skip(id))
+			}
+			return
+		}
+		if orderedKind(req.Kind()) {
 			// Sequenced: the executor runs it (or, for BYE, answers it)
 			// after everything below it.
-			release(rs.submit(envelope{id: id, msg: req}))
+			release(led.submit(envelope{id: id, msg: req}))
 			return
+		}
+		switch m := req.(type) {
 		case *wire.ExperimentReq:
 			// Global load shedding: experiment work must fit the
 			// server-wide in-flight budget or be answered BUSY. The BUSY
-			// flows through the writer like any response, so on
-			// unreliable transports it lands in the dedup cache — a
-			// retransmit of the same request ID gets the cached BUSY,
-			// never a second execution attempt.
+			// flows through the writer like any response, so it lands in
+			// the answer cache — a retransmit of the same request ID gets
+			// the cached BUSY, never a second execution attempt.
 			if !s.acquireWork() {
 				respond(id, s.shedRequest(sess))
 				break
@@ -1164,7 +1133,7 @@ func (s *Server) serveSession(tc transportConn, sess *session, firstPlain []byte
 		default:
 			respond(id, &wire.Error{Code: wire.CodeBadRequest, Msg: "unexpected request"})
 		}
-		release(rs.skip(id))
+		release(led.skip(id))
 	}
 
 	handle(firstPlain)
@@ -1267,21 +1236,8 @@ func (s *Server) newSession(opt testbed.Options) *session {
 		sc.Shield.SetProtected(sc.IMDs[0].Profile)
 		sc.Shield.SetIMDRSSI(sess.rssi[0])
 	}
-	cfo := testbed.IMDCFOHz
-	sess.eaves = &adversary.Eavesdropper{
-		Antenna: testbed.AntEavesdropper,
-		Medium:  sc.Medium,
-		RX:      sc.EavesRX,
-		Modem:   sc.FSK,
-		CFOHint: &cfo,
-	}
-	sess.adv = &adversary.Active{
-		Antenna: testbed.AntAdversary,
-		Medium:  sc.Medium,
-		TX:      sc.AdvTX,
-		RX:      sc.AdvRX,
-		Modem:   sc.FSK,
-	}
+	sess.eaves = sc.NewEavesdropper()
+	sess.adv = sc.NewActiveAdversary()
 	return sess
 }
 

@@ -27,8 +27,8 @@ type transportConn interface {
 	close() error
 	setReadDeadline(t time.Time) error
 	// unreliable reports datagram loss semantics: securelink Open
-	// failures are dropped datagrams, request IDs may arrive twice, and
-	// responses may need re-sending from the dedup cache.
+	// failures are dropped datagrams, not a compromise, and the client
+	// retransmits requests until their answers arrive.
 	unreliable() bool
 }
 
@@ -81,11 +81,6 @@ const (
 	defaultMaxRetries = 8
 	// maxRetryBackoff caps the exponential retransmit backoff.
 	maxRetryBackoff = 4 * time.Second
-	// dedupCacheCap bounds the per-session response cache on datagram
-	// transports. It must exceed the in-flight window by enough margin
-	// that a response can still be re-sent for any request the client
-	// could plausibly retransmit.
-	dedupCacheCap = 256
 	// defaultSendWindow is the client's pipelining window: how many
 	// requests may be awaiting responses at once before Go blocks. It
 	// matches the server's default InFlightPerSession so a full client
@@ -101,103 +96,6 @@ const (
 	// retransmits.
 	fastRetransmitSkips = 3
 )
-
-// dedupState is the server side of exactly-once execution over an
-// at-least-once transport: the reader consults it before dispatching a
-// request ID, and the writer records every response it sends, so a
-// retransmitted request is answered from cache instead of re-executing
-// against the scenario (which would fork the deterministic result
-// stream).
-type dedupState struct {
-	mu       sync.Mutex
-	inflight map[uint64]struct{}
-	done     map[uint64]wire.Message
-	order    []uint64 // done-cache FIFO eviction order
-	maxID    uint64   // highest request ID ever claimed
-	pruned   uint64   // ids <= pruned are client-confirmed delivered (client cum)
-}
-
-func newDedupState() *dedupState {
-	return &dedupState{
-		inflight: make(map[uint64]struct{}),
-		done:     make(map[uint64]wire.Message),
-	}
-}
-
-// claim admits a request ID. fresh means execute it; cached non-nil
-// means re-send that response; neither means drop the duplicate (it is
-// still executing, or it is older than the dedup horizon).
-func (d *dedupState) claim(id uint64) (fresh bool, cached wire.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if msg, ok := d.done[id]; ok {
-		return false, msg
-	}
-	if _, ok := d.inflight[id]; ok {
-		return false, nil
-	}
-	// The client's cumulative-progress report confirmed delivery of every
-	// response at or below pruned, so a retransmit from down there is
-	// stale by definition: drop it rather than re-execute.
-	if id <= d.pruned {
-		return false, nil
-	}
-	// An ID far enough below the highest seen that its cache entry may
-	// already have been evicted must NOT execute: this is a stale
-	// retransmit of a request whose eviction we can no longer
-	// distinguish from novelty, and re-executing it would fork the
-	// deterministic result stream. Drop it; the client's retry schedule
-	// surfaces the failure as a timeout. (Client IDs are sequential, so
-	// a live pipeline never trips this.)
-	if d.maxID >= dedupCacheCap && id <= d.maxID-dedupCacheCap {
-		return false, nil
-	}
-	if id > d.maxID {
-		d.maxID = id
-	}
-	d.inflight[id] = struct{}{}
-	return true, nil
-}
-
-// prune drops done-cache entries at or below the client's cumulative
-// progress report: the client has confirmed delivery of every response
-// through cum, so it will never re-ask for them. This keeps the ledger
-// holding only the window's worth of answers a live pipeline can still
-// retransmit into, instead of the last dedupCacheCap responses.
-func (d *dedupState) prune(cum uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if cum <= d.pruned {
-		return
-	}
-	d.pruned = cum
-	keep := d.order[:0]
-	for _, id := range d.order {
-		if id <= cum {
-			delete(d.done, id)
-		} else {
-			keep = append(keep, id)
-		}
-	}
-	d.order = keep
-}
-
-// complete records the response the writer is sending for id.
-func (d *dedupState) complete(id uint64, msg wire.Message) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.inflight, id)
-	if _, ok := d.done[id]; ok {
-		return
-	}
-	d.done[id] = msg
-	d.order = append(d.order, id)
-	if len(d.order) > dedupCacheCap {
-		evict := d.order[0]
-		d.order = d.order[1:]
-		delete(d.done, evict)
-	}
-}
 
 // TransportStats counts the client-side cost of an unreliable
 // transport: how many requests were retransmitted and how many gave up.
@@ -222,7 +120,7 @@ type TransportStats struct {
 // backoff schedule. Re-sealing (rather than caching the sealed bytes)
 // is load-bearing: a byte-identical resend would be swallowed by the
 // server's securelink replay protection before the request ID could be
-// matched against the dedup cache.
+// matched against the request ledger.
 type retrier struct {
 	c        *Client
 	rto      time.Duration

@@ -24,7 +24,7 @@ func TestProtectedExchangeAllocBudget(t *testing.T) {
 	}
 	sc := NewScenario(Options{Seed: 41})
 	sc.CalibrateShieldRSSI()
-	eaves := digestEavesdropper(sc)
+	eaves := sc.NewEavesdropper()
 	run := func(n int) {
 		for i := 0; i < n; i++ {
 			cmd := sc.InterrogateFrame()

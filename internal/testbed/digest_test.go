@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"heartshield/internal/adversary"
 )
 
 // digest folds every bit a trial leaves behind into a running SHA-256:
@@ -66,15 +64,6 @@ func (d *digest) bursts(sc *Scenario) {
 
 func (d *digest) sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
 
-func digestEavesdropper(sc *Scenario) *adversary.Eavesdropper {
-	cfo := IMDCFOHz
-	return &adversary.Eavesdropper{Antenna: AntEavesdropper, Medium: sc.Medium, RX: sc.EavesRX, Modem: sc.FSK, CFOHint: &cfo}
-}
-
-func digestAdversary(sc *Scenario) *adversary.Active {
-	return &adversary.Active{Antenna: AntAdversary, Medium: sc.Medium, TX: sc.AdvTX, RX: sc.AdvRX, Modem: sc.FSK}
-}
-
 // digestExchanges calibrates a scenario and runs n protected exchanges
 // on it, two Interrogates to every SetTherapy, hashing each outcome and
 // the bursts it put on the air.
@@ -82,7 +71,7 @@ func digestExchanges(sc *Scenario, n int) string {
 	d := newDigest()
 	d.f64(sc.CalibrateShieldRSSI())
 	d.bursts(sc)
-	eaves := digestEavesdropper(sc)
+	eaves := sc.NewEavesdropper()
 	for i := 0; i < n; i++ {
 		cmd := sc.InterrogateFrame()
 		if i%3 == 2 {
@@ -107,7 +96,7 @@ func digestExchanges(sc *Scenario, n int) string {
 func digestAttacks(sc *Scenario, n int) string {
 	d := newDigest()
 	d.f64(sc.CalibrateShieldRSSI())
-	adv := digestAdversary(sc)
+	adv := sc.NewActiveAdversary()
 	for i := 0; i < n; i++ {
 		cmd := sc.SetTherapyFrame(byte(90 + i))
 		out := sc.RunAttackTrial(adv, cmd, i%2 == 0)

@@ -24,6 +24,32 @@ type ExchangeOutcome struct {
 	EavesdropperBER float64
 }
 
+// NewEavesdropper builds the standard eavesdropper for the scenario:
+// genie timing plus perfect knowledge of the IMD's carrier offset — the
+// strongest single-antenna adversary the threat model admits.
+func (sc *Scenario) NewEavesdropper() *adversary.Eavesdropper {
+	cfo := IMDCFOHz
+	return &adversary.Eavesdropper{
+		Antenna: AntEavesdropper,
+		Medium:  sc.Medium,
+		RX:      sc.EavesRX,
+		Modem:   sc.FSK,
+		CFOHint: &cfo,
+	}
+}
+
+// NewActiveAdversary builds the standard active adversary for the
+// scenario.
+func (sc *Scenario) NewActiveAdversary() *adversary.Active {
+	return &adversary.Active{
+		Antenna: AntAdversary,
+		Medium:  sc.Medium,
+		TX:      sc.AdvTX,
+		RX:      sc.AdvRX,
+		Modem:   sc.FSK,
+	}
+}
+
 // RunProtectedExchange runs the canonical shield-proxied exchange trial
 // against IMD imdIdx: fresh trial, channel estimation plus drift,
 // cancellation measurement, command relay, IMD reaction, decode through

@@ -28,7 +28,7 @@
 // non-final response (an EXPERIMENT-PROGRESS frame streamed while the
 // request is still executing); cum carries cumulative progress — the
 // client reports the highest request ID through which every response
-// has been received (the server prunes its dedup ledger below it), and
+// has been received (the server prunes its answer cache below it), and
 // the server reports the highest request ID through which every request
 // has been received and sequenced.
 //
@@ -333,9 +333,9 @@ type MetricsResp struct {
 	Experiments      uint64
 	Pings            uint64
 	Errors           uint64 // requests answered with an Error frame
-	// Retransmits counts responses the server re-sent from its dedup
-	// cache because a datagram-transport client retransmitted an
-	// already-answered request (always 0 on stream transports).
+	// Retransmits counts responses the server re-sent from its request
+	// ledger because a client repeated an already-answered request ID
+	// (a datagram retransmit; 0 on streams unless a peer reuses an ID).
 	Retransmits uint64
 
 	// Securelink counters for this session's link (server side).
@@ -946,7 +946,7 @@ const (
 	// EnvPartial marks a response frame that does not complete its
 	// request: more frames for the same id follow (EXPERIMENT-PROGRESS
 	// streaming). The client must not retire the request, and the server
-	// must not record a partial frame in its dedup ledger.
+	// must not cache a partial frame as the request's answer.
 	EnvPartial uint8 = 1 << 0
 
 	envFlagsMask = EnvPartial
@@ -957,7 +957,7 @@ const (
 // request identifier, echoed on responses; cum is the
 // sender's cumulative-progress report — client→server, the highest
 // request ID through which every response has been received (the server
-// may prune its dedup ledger at and below it); server→client, the
+// may prune its answer cache at and below it); server→client, the
 // highest request ID through which every request has been received and
 // sequenced.
 func EncodeEnvelopeV3(id uint64, flags uint8, cum uint64, m Message) []byte {

@@ -110,8 +110,8 @@ type ServerMetrics struct {
 	TotalAttacks     uint64
 	TotalExperiments uint64
 	TotalPings       uint64
-	// TotalRetransmits counts responses re-sent from datagram-session
-	// dedup caches (the server-side cost of transport loss).
+	// TotalRetransmits counts answers re-sent from session request
+	// ledgers (the server-side cost of transport loss).
 	TotalRetransmits uint64
 	// TotalProgressFrames counts streamed EXPERIMENT-PROGRESS frames
 	// written to sessions.
@@ -389,9 +389,9 @@ type SessionMetrics struct {
 	Experiments      uint64
 	Pings            uint64
 	Errors           uint64
-	// Retransmits counts responses the server re-sent from its dedup
-	// cache (a request retransmit arrived after the original response
-	// was lost). Always 0 on stream transports.
+	// Retransmits counts responses the server re-sent from its request
+	// ledger (a request retransmit arrived after the original response
+	// was lost). 0 on stream transports unless a peer repeats an ID.
 	Retransmits uint64
 	Rekeys      uint64
 	ReplayDrops uint64
